@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import PulseRcError, SpecError
 from .readout import evaluate, fit_ridge, nrmse, predict
-from .reservoir import ReservoirParams, generate_mask, run
+from .reservoir import ReservoirParams, drive_block, generate_mask
 from .tasks import NarmaConfig, TaskDataset, gen_narma, gen_surrogate_laser, load_csv_task, standardize
 
 SCHEMA_VERSION = 1
@@ -31,6 +32,11 @@ SCHEMA_VERSION = 1
 _STREAM_TASK = 0
 _STREAM_NOISE = 1
 _STREAM_MASK = 2
+
+# Replications are driven in blocks whose stacked state matrices fit in
+# this many bytes: enough to amortize the per-step overhead over several
+# replications at small V, without stacking all of them at large V.
+_DRIVE_BLOCK_BYTES = 8 * 2**20
 
 # spec fields a sweep axis may override
 SWEEPABLE_FIELDS = frozenset({
@@ -89,9 +95,10 @@ class ExperimentSpec:
             raise SpecError(f"washout must be >= 0, got {self.washout}")
         if self.lambda_grid and self.train_len < 2:
             raise SpecError("lambda_grid selection needs train_len >= 2")
-        for lam in self.lambda_grid or (self.ridge_lambda,):
-            if lam < 0:
-                raise SpecError(f"ridge strength must be >= 0, got {lam}")
+        for lam in (self.ridge_lambda, *self.lambda_grid):
+            if not (math.isfinite(lam) and lam >= 0):
+                raise SpecError(
+                    f"ridge strength must be finite and >= 0, got {lam}")
         try:
             self.reservoir_params(noise_seed=0)
             if self.task == "narma":
@@ -161,16 +168,23 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
 
     Each replication draws its own task, mask, and noise seeds from the
     spec's base seeds, so replication r of a long series equals
-    replication r of a short one.
+    replication r of a short one. Replications are driven together in
+    blocks of at most ``_DRIVE_BLOCK_BYTES`` of state matrices; the block
+    size changes no result.
     """
     spec.validate()
     t0 = time.perf_counter()
+    datasets, masks = _prepare_replications(spec)
+    noise_seeds = [derive_seed(spec.seed, r, _STREAM_NOISE)
+                   for r in range(spec.replications)]
+    params = spec.reservoir_params(noise_seed=0)  # seeds go per replication
+    rep_bytes = spec.total_len * (spec.num_nodes + 1) * 8
+    block = max(1, min(spec.replications, _DRIVE_BLOCK_BYTES // rep_bytes))
+
     reps = []
-    for r in range(spec.replications):
-        try:
-            reps.append(_run_replication(spec, r))
-        except PulseRcError as exc:
-            raise type(exc)(f"replication {r}: {exc}") from exc
+    for first in range(0, spec.replications, block):
+        reps += _run_block(spec, params, datasets, masks, noise_seeds,
+                           range(first, min(first + block, spec.replications)))
     pearsons = [rep["pearson"] for rep in reps]
     nrmses = [rep["nrmse"] for rep in reps]
     return ResultRecord(
@@ -402,11 +416,45 @@ def _fmt_value(v) -> str:
 # ---------------------------------------------------------------------------
 # single-replication pipeline
 
-def _run_replication(spec: ExperimentSpec, rep: int) -> dict:
-    task_seed = derive_seed(spec.seed, rep, _STREAM_TASK)
-    noise_seed = derive_seed(spec.seed, rep, _STREAM_NOISE)
-    mask_seed = derive_seed(spec.mask_seed, rep, _STREAM_MASK)
+def _prepare_replications(
+    spec: ExperimentSpec,
+) -> tuple[list[TaskDataset], list[np.ndarray]]:
+    """Every replication's split (and standardized) dataset and mask
+    weights. A CSV task does not depend on the task seed, so its file is
+    read once and shared by all replications."""
+    datasets, masks = [], []
+    for r in range(spec.replications):
+        try:
+            if spec.task == "csv" and datasets:
+                ds = datasets[0]
+            else:
+                ds = _split_dataset(spec, derive_seed(spec.seed, r, _STREAM_TASK))
+            mask_seed = derive_seed(spec.mask_seed, r, _STREAM_MASK)
+            mask = generate_mask(spec.num_nodes, mask_seed, spec.mask_kind)
+        except PulseRcError as exc:
+            raise type(exc)(f"replication {r}: {exc}") from exc
+        datasets.append(ds)
+        masks.append(mask.weights)
+    return datasets, masks
 
+
+def _run_block(spec, params, datasets, masks, noise_seeds, idx) -> list[dict]:
+    """Drive the replications in ``idx`` together, then fit each one. The
+    block's state matrices are freed on return, before the next block is
+    allocated."""
+    inputs = np.stack([datasets[r].inputs[: spec.total_len] for r in idx])
+    states = drive_block(inputs, np.stack([masks[r] for r in idx]), params,
+                         [noise_seeds[r] for r in idx], spec.washout)
+    reps = []
+    for r, rep_states in zip(idx, states):
+        try:
+            reps.append(_fit_replication(spec, datasets[r], rep_states))
+        except PulseRcError as exc:
+            raise type(exc)(f"replication {r}: {exc}") from exc
+    return reps
+
+
+def _split_dataset(spec: ExperimentSpec, task_seed: int) -> TaskDataset:
     ds = _build_dataset(spec, task_seed)
     needed = spec.total_len
     if ds.length < needed:
@@ -416,11 +464,13 @@ def _run_replication(spec: ExperimentSpec, rep: int) -> dict:
     ds = ds.with_split(spec.washout + spec.train_len, spec.test_len)
     if spec.standardize:
         ds = standardize(ds)
+    return ds
 
-    mask = generate_mask(spec.num_nodes, mask_seed, spec.mask_kind)
-    params = spec.reservoir_params(noise_seed=noise_seed)
-    states = run(ds.inputs[:needed], mask, params, washout=spec.washout)
 
+def _fit_replication(spec: ExperimentSpec, ds: TaskDataset, states) -> dict:
+    """Ridge readout of one replication's state matrix, scored on its
+    test region."""
+    needed = spec.total_len
     r_train = states[: spec.train_len]
     y_train = ds.targets[spec.washout: spec.washout + spec.train_len]
     r_test = states[spec.train_len: spec.train_len + spec.test_len]

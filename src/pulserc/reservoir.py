@@ -29,10 +29,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import DimensionError, ParameterError
 
 _FILTER_MODES = ("two_term", "full")
+
+# steps of detection noise drawn per generator call in the drive kernel;
+# any value gives the same stream, this one keeps the buffer small
+_NOISE_CHUNK = 64
 
 
 def coupling_factor(pulse_period: float, bandwidth_time: float) -> float:
@@ -171,9 +176,9 @@ def step(
 
     Returns ``(new_state, node_row)`` where ``node_row`` holds the V
     measured node values for this sample. ``rng`` supplies the
-    detection-noise stream and should be shared across steps of one run
-    (``run`` does this); when omitted and noise is on, a fresh generator
-    seeded with ``params.seed`` is used.
+    detection-noise stream and must be shared across the steps of one run;
+    it is required when noise is on, since a generator re-seeded on every
+    call would repeat the same noise vector at every step.
     """
     w = mask.weights
     if w.size != params.num_nodes:
@@ -184,6 +189,8 @@ def step(
             f"state length {state.measurements.size} != num_nodes {params.num_nodes}")
     if not math.isfinite(input_value):
         raise ParameterError(f"input value must be finite, got {input_value!r}")
+    if params.noise_sigma > 0.0 and rng is None:
+        raise ParameterError("noise_sigma > 0 needs an rng shared across steps")
 
     eps = params.coupling
     phi = params.beta * w * input_value + params.alpha * state.measurements
@@ -205,8 +212,6 @@ def step(
         carry = float(s)
 
     if params.noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(params.seed)
         row = row + rng.normal(0.0, params.noise_sigma, row.size)
 
     new_state = ReservoirState(row, float(sines[-1]), carry)
@@ -225,6 +230,8 @@ def run(
     node values per post-washout sample, plus a trailing constant-1 bias
     column. The run starts from the all-zero state; the first ``washout``
     rows are discarded so the start-up transient never reaches training.
+    Detection noise, when on, is drawn from a generator seeded with
+    ``params.seed``.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1:
@@ -236,14 +243,78 @@ def run(
             f"need more than washout={washout} input samples, got {u.size}")
     if not np.all(np.isfinite(u)):
         raise ParameterError("inputs must be finite")
+    if len(mask) != params.num_nodes:
+        raise DimensionError(
+            f"mask length {len(mask)} != num_nodes {params.num_nodes}")
+    return drive_block(u[None, :], mask.weights[None, :], params,
+                       [params.seed], washout)[0]
 
-    rng = np.random.default_rng(params.seed)
-    state = zero_state(params)
-    out = np.ones((u.size - washout, params.num_nodes + 1))
-    for k in range(u.size):
-        # noise is drawn for every step so the stream position does not
-        # depend on the washout choice
-        state, row = step(state, float(u[k]), mask, params, rng=rng)
-        if k >= washout:
-            out[k - washout, : params.num_nodes] = row
+
+def drive_block(
+    inputs: np.ndarray,
+    masks: np.ndarray,
+    params: ReservoirParams,
+    noise_seeds,
+    washout: int,
+) -> np.ndarray:
+    """Advance G independent reservoirs in lockstep (internal kernel).
+
+    Row g of ``inputs`` (G, L) drives a reservoir with input weights
+    ``masks[g]`` (G, V) and, when noise is on, a noise stream seeded with
+    ``noise_seeds[g]``; ``params.seed`` is not used. Returns the
+    (G, L - washout, V + 1) state matrices, each bitwise equal to a
+    :func:`step` loop from the zero state: every ufunc applies ``step``'s
+    operands in ``step``'s order, and noise is drawn for every step, so
+    the stream does not depend on the washout. Arguments are trusted;
+    :func:`run` checks them.
+    """
+    g, length = inputs.shape
+    v = params.num_nodes
+    eps = params.coupling
+    out = np.ones((g, length - washout, v + 1))
+
+    input_weights = params.beta * masks
+    phi = np.empty((g, v))
+    feedback = np.empty((g, v))
+    # column 0 holds the previous step's last sine, columns 1.. this step's
+    shifted = np.zeros((g, v + 1))
+    sines = shifted[:, 1:]
+    predecessors = shifted[:, :-1]
+    mixed = np.empty((g, v))
+    washout_row = np.zeros((g, v))
+    carry = np.zeros((g, 1))  # low-pass state of the "full" filter
+    drive_gain = params.gain_c * (1.0 - eps)
+
+    sigma = params.noise_sigma
+    if sigma > 0.0:
+        rngs = [np.random.default_rng(seed) for seed in noise_seeds]
+        noise = np.empty((g, _NOISE_CHUNK, v))
+
+    row = washout_row  # the zero state: previous measurements
+    for k in range(length):
+        np.multiply(input_weights, inputs[:, k:k + 1], out=phi)
+        np.multiply(params.alpha, row, out=feedback)
+        np.add(phi, feedback, out=phi)
+        np.sin(phi, out=sines)
+
+        row = out[:, k - washout, :v] if k >= washout else washout_row
+        if params.filter_mode == "two_term":
+            np.multiply(eps, predecessors, out=feedback)
+            np.multiply(1.0 - eps, sines, out=mixed)
+            np.add(feedback, mixed, out=mixed)
+            np.multiply(params.gain_c, mixed, out=row)
+            shifted[:, 0] = shifted[:, -1]
+        else:
+            np.multiply(drive_gain, sines, out=mixed)
+            row[...], _ = lfilter([1.0], [1.0, -eps], mixed, axis=1,
+                                  zi=eps * carry)
+            carry[:, 0] = row[:, -1]
+
+        if sigma > 0.0:
+            j = k % _NOISE_CHUNK
+            if j == 0:
+                steps = min(_NOISE_CHUNK, length - k)
+                for r, rng in enumerate(rngs):
+                    noise[r, :steps] = rng.normal(0.0, sigma, (steps, v))
+            np.add(row, noise[:, j], out=row)
     return out

@@ -9,8 +9,10 @@ Lines starting with '#' are ignored. Numbers use a decimal point only.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 from scipy.signal import lfilter
@@ -24,6 +26,10 @@ from .errors import (
 
 NARMA_DIVERGENCE_LIMIT = 10.0
 _MAX_REDRAWS = 100
+# NumPy sums fewer terms than this left to right and more pairwise; the
+# NARMA recursion mirrors whichever order NumPy uses, so its sequences do
+# not depend on how the sum is computed
+_PAIRWISE_MIN_TERMS = 8
 
 # fixed constants of the surrogate pump-noise task
 _PUMP_AR_POLE = 0.9          # AR(1) pole of the pump-intensity input
@@ -121,16 +127,8 @@ def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
         seed = cfg.seed + attempt
         rng = np.random.default_rng(seed)
         u = rng.uniform(cfg.input_low, cfg.input_high, cfg.length)
-        y = np.zeros(cfg.length)
-        diverged = False
-        for t in range(n + 1, cfg.length):
-            s = y[t - n_terms:t].sum()
-            y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * s \
-                + 1.5 * u[t - 1] * u[t - n] + 0.1
-            if abs(y[t]) > NARMA_DIVERGENCE_LIMIT:
-                diverged = True
-                break
-        if not diverged:
+        y = _narma_outputs(u, n, n_terms)
+        if y is not None:
             train_len = max(1, min(cfg.length - 1, int(0.8 * cfg.length)))
             return TaskDataset(
                 u, y, train_len, cfg.length - train_len,
@@ -139,6 +137,32 @@ def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
     raise DivergenceError(
         f"NARMA-{n} diverged for every seed in "
         f"[{cfg.seed}, {cfg.seed + _MAX_REDRAWS - 1}]")
+
+
+def _narma_outputs(u: np.ndarray, n: int, n_terms: int) -> np.ndarray | None:
+    """The NARMA-n outputs driven by ``u``, or None once |y| passes the
+    divergence limit. Short window sums run on plain floats, left to
+    right like NumPy's; long ones keep NumPy's pairwise ``sum``."""
+    length = u.size
+    if n_terms >= _PAIRWISE_MIN_TERMS:
+        y = np.zeros(length)
+        for t in range(n + 1, length):
+            s = y[t - n_terms:t].sum()
+            y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * s \
+                + 1.5 * u[t - 1] * u[t - n] + 0.1
+            if abs(y[t]) > NARMA_DIVERGENCE_LIMIT:
+                return None
+        return y
+    uf = u.tolist()
+    yf = [0.0] * length
+    for t in range(n + 1, length):
+        prev = yf[t - 1]
+        s = reduce(operator.add, yf[t - n_terms:t])
+        yt = 0.3 * prev + 0.05 * prev * s + 1.5 * uf[t - 1] * uf[t - n] + 0.1
+        if abs(yt) > NARMA_DIVERGENCE_LIMIT:
+            return None
+        yf[t] = yt
+    return np.array(yf)
 
 
 def load_csv_task(input_path, target, train_fraction: float = 0.8) -> TaskDataset:

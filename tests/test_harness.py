@@ -12,6 +12,7 @@ from pulserc import (
     write_records,
     write_spec_file,
 )
+import pulserc.harness as harness
 from pulserc.cli import main
 from pulserc.harness import read_records_table
 
@@ -102,6 +103,46 @@ class TestRunExperiment:
             run_experiment(small_spec(replications=0))
         with pytest.raises(SpecError):
             run_experiment(small_spec(num_nodes=0))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(ridge_lambda=float("nan")),
+        dict(ridge_lambda=float("inf")),
+        dict(lambda_grid=(1e-6, float("nan"))),
+        dict(lambda_grid=(float("inf"),)),
+    ])
+    def test_non_finite_lambda_rejected(self, overrides):
+        with pytest.raises(SpecError, match="finite"):
+            small_spec(**overrides).validate()
+
+    def test_block_size_changes_no_result(self, monkeypatch):
+        spec = small_spec(replications=5, noise_sigma=0.01)
+        together = run_experiment(spec)
+        # 1 byte: every replication is driven on its own
+        monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES", 1)
+        alone = run_experiment(spec)
+        # two replications' state matrices per block: blocks of 2, 2, 1
+        monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES",
+                            2 * spec.total_len * (spec.num_nodes + 1) * 8)
+        pairs = run_experiment(spec)
+        for rec in (alone, pairs):
+            assert rec.pearson_reps == together.pearson_reps
+            assert rec.nrmse_reps == together.nrmse_reps
+            assert np.array_equal(rec.readout_first, together.readout_first)
+
+    def test_csv_task_read_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+        data.write_text("u,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
+        calls = []
+        real = harness.load_csv_task
+        monkeypatch.setattr(harness, "load_csv_task",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        rec = run_experiment(small_spec(task="csv", csv_input=str(data),
+                                        csv_target="column:y",
+                                        standardize=True, replications=3))
+        assert len(calls) == 1
+        assert len(rec.pearson_reps) == 3
 
     def test_surrogate_task(self):
         rec = run_experiment(small_spec(task="surrogate", replications=2))
@@ -277,6 +318,33 @@ class TestCli:
                                csv_input=str(tmp_path / "missing_u.csv"),
                                csv_target=str(tmp_path / "missing_y.csv"))
         assert main(["run", "--spec", str(path)]) == 3
+
+    @staticmethod
+    def _forbid_compute(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("compute started")
+        monkeypatch.setattr(harness, "generate_mask", fail)
+
+    def test_non_finite_lambda_is_spec_error(self, tmp_path, monkeypatch):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        path.write_text(path.read_text().replace("ridge_lambda = 1e-06",
+                                                 "ridge_lambda = nan"))
+        assert "ridge_lambda = nan" in path.read_text()
+        assert main(["run", "--spec", str(path)]) == 2
+
+    def test_run_unwritable_out_fails_before_compute(self, tmp_path,
+                                                     monkeypatch):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        out = tmp_path / "no_such_dir" / "res.tsv"
+        assert main(["run", "--spec", str(path), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, command):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        assert main([command, "--spec", str(path), "--threads", "0"]) == 2
 
     def test_bad_axis_exit_code(self, tmp_path):
         path = self._spec_file(tmp_path)

@@ -15,6 +15,7 @@ from pulserc import (
     step,
     zero_state,
 )
+from pulserc.reservoir import drive_block
 
 
 def reference_node_values(inputs, mask, alpha, beta, c, pulse_period, bandwidth_time):
@@ -172,6 +173,22 @@ class TestStep:
                                          6.4e-9, 21e-9)
         assert np.max(np.abs(np.array(rows) - np.array(expected))) <= 1e-12
 
+    def test_noise_requires_rng(self):
+        # a generator re-seeded on every call would repeat one noise vector
+        params = ReservoirParams(num_nodes=3, alpha=0.0, beta=0.0,
+                                 noise_sigma=0.1, seed=4)
+        with pytest.raises(ParameterError, match="rng"):
+            step(zero_state(params), 0.1, generate_mask(3, 1), params)
+
+    def test_noise_stream_advances_across_steps(self):
+        params = ReservoirParams(num_nodes=3, alpha=0.0, beta=0.0,
+                                 noise_sigma=0.1, seed=4)
+        rng = np.random.default_rng(4)
+        mask = generate_mask(3, 1)
+        state, first = step(zero_state(params), 0.1, mask, params, rng=rng)
+        _, second = step(state, 0.1, mask, params, rng=rng)
+        assert not np.array_equal(first, second)
+
     def test_mask_length_mismatch(self):
         params = ReservoirParams(num_nodes=3, alpha=0.7, beta=1.0)
         with pytest.raises(DimensionError):
@@ -225,6 +242,11 @@ class TestRun:
         b = run(inputs, mask, params, washout=10)
         assert np.array_equal(a, b)
 
+    def test_mask_length_mismatch(self):
+        params = ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0)
+        with pytest.raises(DimensionError):
+            run(np.zeros(10), generate_mask(5, 1), params, washout=2)
+
     def test_too_short_input(self):
         params = ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0)
         with pytest.raises(ParameterError):
@@ -276,6 +298,69 @@ class TestRun:
             want = np.array(reference_node_values(
                 inputs, list(mask_w), alpha, beta, c, tr, tbw))
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def step_loop(inputs, masks, params, seeds, washout):
+    """The drive kernel's reference: one ``step`` per sample and row, from
+    the zero state, with one noise generator per row."""
+    out = []
+    for u, w, seed in zip(inputs, masks, seeds):
+        state, rng, rows = zero_state(params), np.random.default_rng(seed), []
+        for k, value in enumerate(u):
+            state, row = step(state, float(value), Mask(w), params, rng=rng)
+            if k >= washout:
+                rows.append(np.append(row, 1.0))
+        out.append(rows)
+    return np.array(out)
+
+
+class TestDriveBlock:
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("v", [1, 2, 35])
+    @pytest.mark.parametrize("filter_mode", ["two_term", "full"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
+    @pytest.mark.parametrize("washout", [0, 7])
+    def test_bitwise_equal_to_step_loop(self, g, v, filter_mode, noise_sigma,
+                                        washout):
+        rng = np.random.default_rng(1000 * g + v)
+        params = ReservoirParams(num_nodes=v, alpha=0.8, beta=1.2, gain_c=1.7,
+                                 noise_sigma=noise_sigma,
+                                 filter_mode=filter_mode)
+        inputs = rng.uniform(-1.0, 1.0, (g, 40))
+        masks = np.array([generate_mask(v, 10 + i).weights for i in range(g)])
+        seeds = [int(s) for s in rng.integers(0, 2**32, g)]
+        got = drive_block(inputs, masks, params, seeds, washout)
+        want = step_loop(inputs, masks, params, seeds, washout)
+        assert got.shape == (g, 40 - washout, v + 1)
+        assert np.array_equal(got, want)
+
+    def test_noise_stream_spans_chunks(self):
+        # longer than one noise draw, so chunk boundaries are crossed
+        params = ReservoirParams(num_nodes=3, alpha=0.7, beta=1.0,
+                                 noise_sigma=0.05)
+        inputs = np.random.default_rng(5).uniform(0, 0.5, (2, 600))
+        masks = np.array([generate_mask(3, 1).weights,
+                          generate_mask(3, 2).weights])
+        got = drive_block(inputs, masks, params, [8, 9], 50)
+        assert np.array_equal(got, step_loop(inputs, masks, params, [8, 9], 50))
+
+    def test_rows_are_independent(self):
+        params = ReservoirParams(num_nodes=5, alpha=0.7, beta=1.0,
+                                 noise_sigma=0.01)
+        inputs = np.random.default_rng(6).uniform(0, 0.5, (3, 60))
+        masks = np.array([generate_mask(5, s).weights for s in (1, 2, 3)])
+        block = drive_block(inputs, masks, params, [4, 5, 6], 10)
+        alone = drive_block(inputs[1:2], masks[1:2], params, [5], 10)
+        assert np.array_equal(block[1], alone[0])
+
+    def test_run_uses_params_seed(self):
+        params = ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0,
+                                 noise_sigma=0.02, seed=13)
+        mask = generate_mask(4, 2)
+        inputs = np.random.default_rng(7).uniform(0, 0.5, 30)
+        want = step_loop(inputs[None, :], mask.weights[None, :], params,
+                         [13], 5)[0]
+        assert np.array_equal(run(inputs, mask, params, washout=5), want)
 
 
 class TestFadingMemory:

@@ -31,6 +31,30 @@ def narma_reference(u, order, compat=False):
     return y
 
 
+def narma_array_loop(cfg, compat_sum=False):
+    """The generator loop as it was before the plain-float fast path,
+    kept verbatim (NumPy array slices and ``sum``) as the bitwise
+    reference."""
+    n = cfg.order
+    n_terms = n if compat_sum else n + 1
+    for attempt in range(100):
+        seed = cfg.seed + attempt
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(cfg.input_low, cfg.input_high, cfg.length)
+        y = np.zeros(cfg.length)
+        diverged = False
+        for t in range(n + 1, cfg.length):
+            s = y[t - n_terms:t].sum()
+            y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * s \
+                + 1.5 * u[t - 1] * u[t - n] + 0.1
+            if abs(y[t]) > NARMA_DIVERGENCE_LIMIT:
+                diverged = True
+                break
+        if not diverged:
+            return u, y, seed
+    return None
+
+
 class TestNarmaConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(order=0, length=100, seed=1),
@@ -62,6 +86,21 @@ class TestGenNarma:
         want = narma_reference(list(ds.inputs), 4, compat=True)
         assert np.max(np.abs(ds.targets - np.array(want))) <= 1e-14
         assert not np.array_equal(ds.targets, gen_narma(cfg).targets)
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_bitwise_equal_to_array_loop(self, order, compat):
+        for seed in (3, 40):
+            cfg = NarmaConfig(order, 500, seed, input_high=0.4)
+            want = narma_array_loop(cfg, compat)
+            if want is None:
+                with pytest.raises(DivergenceError):
+                    gen_narma(cfg, compat_sum=compat)
+                continue
+            ds = gen_narma(cfg, compat_sum=compat)
+            assert np.array_equal(ds.inputs, want[0])
+            assert np.array_equal(ds.targets, want[1])
+            assert ds.meta["effective_seed"] == want[2]
 
     def test_zero_input_fixed_point(self):
         # force u == 0 via a degenerate-interval workaround: the interval
