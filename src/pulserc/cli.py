@@ -91,8 +91,6 @@ def main(argv=None) -> int:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    if args.threads < 1:
-        raise SpecError(f"--threads must be >= 1, got {args.threads}")
     spec = parse_spec_file(args.spec)
     overrides = {}
     if args.out is not None:
@@ -113,7 +111,7 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     # a sweep without axes is the one experiment; it opens --out first, so
     # an unwritable path fails before any compute
-    [record] = run_sweep(spec, [], out_path=spec.out)
+    [record] = run_sweep(spec, [], out_path=spec.out, threads=args.threads)
     print(f"{spec.task} order={spec.order} V={spec.num_nodes}: "
           f"pearson {record.pearson_mean:.4f} +- {record.pearson_std:.4f}, "
           f"nrmse {record.nrmse_mean:.4f} +- {record.nrmse_std:.4f} "

@@ -2,11 +2,12 @@
 
 An :class:`ExperimentSpec` describes one benchmark configuration; it can
 be built in code or parsed from a spec file, a flat ``key = value`` text
-format with '#' comments and a mandatory ``schema`` field (see
-``SPEC_KEYS`` for the vocabulary). :func:`run_experiment` executes the
-spec over its replications; :func:`run_sweep` runs a Cartesian grid of
-field overrides and streams records to a results file whose content is a
-pure function of the spec, so reruns are byte-identical.
+format with '#' comments (at the start of a line or after whitespace) and
+a mandatory ``schema`` field (see ``SPEC_KEYS`` for the vocabulary).
+:func:`run_experiment` executes the spec over its replications;
+:func:`run_sweep` runs a Cartesian grid of field overrides and streams
+records to a results file whose content is a pure function of the spec,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PulseRcError, SpecError
-from .readout import evaluate, fit_ridge, nrmse, predict
+from .readout import ReadoutWeights, evaluate, fit_ridge, normal_equations, nrmse, predict
 from .reservoir import ReservoirParams, drive_block, generate_mask
 from .tasks import NarmaConfig, TaskDataset, gen_narma, gen_surrogate_laser, load_csv_task, standardize
 
@@ -217,6 +219,8 @@ def run_sweep(
     independent, so ``threads > 1`` runs them concurrently without
     changing any result.
     """
+    if threads < 1:
+        raise SpecError(f"threads must be >= 1, got {threads}")
     base.validate()
     if not axes:
         axes = []
@@ -338,6 +342,10 @@ _FLOAT_KEYS = {"alpha", "beta", "gain_c", "pulse_period", "bandwidth_time",
                "noise_sigma", "ridge_lambda"}
 _BOOL_KEYS = {"compat_narma_sum", "standardize"}
 
+# '#' opens a comment at the start of a line or after whitespace, so a
+# value such as ``run#2.csv`` keeps its '#'
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
 
 def parse_spec_file(path) -> ExperimentSpec:
     """Parse the ``key = value`` spec format into an ExperimentSpec.
@@ -352,7 +360,7 @@ def parse_spec_file(path) -> ExperimentSpec:
         raise SpecError(f"cannot open spec {path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw, count=1).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -501,19 +509,25 @@ def _build_dataset(spec: ExperimentSpec, task_seed: int) -> TaskDataset:
     return load_csv_task(spec.csv_input, spec.csv_target)
 
 
-def _select_lambda(r_train, y_train, grid) -> float:
-    """Grid search on a held-out slice: fit on the first 80% of the
-    training rows, score NRMSE on the last 20%, keep the best (ties go to
-    the earlier grid entry)."""
+def _grid_fits(r_train, y_train, grid) -> list[tuple[ReadoutWeights, float]]:
+    """Every grid point's readout, fitted on the first 80% of the training
+    rows, with its NRMSE on the last 20%. The fit slice's normal equations
+    are formed once and solved for each grid point."""
     n = r_train.shape[0]
     n_fit = max(1, min(n - 1, int(0.8 * n)))
-    best_lam, best_err = None, None
+    system = normal_equations(r_train[:n_fit], y_train[:n_fit])
+    fits = []
     for lam in grid:
-        w = fit_ridge(r_train[:n_fit], y_train[:n_fit], lam)
-        err = nrmse(y_train[n_fit:], predict(r_train[n_fit:], w))
-        if best_err is None or err < best_err:
-            best_lam, best_err = lam, err
-    return float(best_lam)
+        w = system.solve(lam)
+        fits.append((w, nrmse(y_train[n_fit:], predict(r_train[n_fit:], w))))
+    return fits
+
+
+def _select_lambda(r_train, y_train, grid) -> float:
+    """Grid search on a held-out slice: the ridge strength whose fit
+    scores the lowest held-out NRMSE (ties go to the earlier grid entry)."""
+    best, _ = min(_grid_fits(r_train, y_train, grid), key=lambda fit: fit[1])
+    return best.ridge_lambda
 
 
 def _spread(values) -> float:

@@ -35,6 +35,54 @@ class EvalReport:
     n_samples: int
 
 
+@dataclass(frozen=True)
+class NormalEquations:
+    """``R.T @ R`` and ``R.T @ y`` of one state matrix and target vector.
+
+    Formed once by :func:`normal_equations` and solved for any number of
+    ridge strengths, so a lambda grid costs one Gram, not one per point.
+    """
+
+    gram: np.ndarray
+    rhs: np.ndarray
+    n_rows: int
+
+    def solve(self, ridge_lambda: float) -> ReadoutWeights:
+        """Cholesky solve of ``(R.T R + lambda I) w = R.T y``. With
+        ``ridge_lambda = 0`` the state matrix must have full column rank."""
+        n_cols = self.rhs.size
+        if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
+            raise ParameterError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
+        if ridge_lambda == 0.0 and self.n_rows < n_cols:
+            raise SingularSystemError(
+                f"{self.n_rows} rows cannot determine {n_cols} weights; "
+                "set ridge_lambda > 0")
+        # the same operands as ``gram + lambda * eye`` (+ 0.0 off the
+        # diagonal), in a Fortran-ordered copy that potrf factors in place
+        a = np.add(self.gram, 0.0, order="F")
+        a.flat[:: n_cols + 1] += ridge_lambda
+        try:
+            factor = cho_factor(a, overwrite_a=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                "normal equations are singular; set ridge_lambda > 0 "
+                f"(currently {ridge_lambda!r})") from exc
+        return ReadoutWeights(cho_solve(factor, self.rhs), float(ridge_lambda))
+
+
+def normal_equations(states: np.ndarray, targets: np.ndarray) -> NormalEquations:
+    """Check a state matrix against its targets and form the normal
+    equations of the ridge fit between them."""
+    r = np.asarray(states, dtype=float)
+    y = np.asarray(targets, dtype=float).ravel()
+    if r.ndim != 2:
+        raise DimensionError(f"states must be 2-d, got shape {r.shape}")
+    if r.shape[0] != y.size:
+        raise DimensionError(
+            f"states have {r.shape[0]} rows but targets have {y.size} entries")
+    return NormalEquations(r.T @ r, r.T @ y, r.shape[0])
+
+
 def fit_ridge(states: np.ndarray, targets: np.ndarray,
               ridge_lambda: float = 1e-6) -> ReadoutWeights:
     """Solve ``min_w ||R w - y||^2 + lambda ||w||^2``.
@@ -43,29 +91,7 @@ def fit_ridge(states: np.ndarray, targets: np.ndarray,
     every column, the bias one included, is penalized alike. With
     ``ridge_lambda = 0`` the state matrix must have full column rank.
     """
-    r = np.asarray(states, dtype=float)
-    y = np.asarray(targets, dtype=float).ravel()
-    if r.ndim != 2:
-        raise DimensionError(f"states must be 2-d, got shape {r.shape}")
-    if r.shape[0] != y.size:
-        raise DimensionError(
-            f"states have {r.shape[0]} rows but targets have {y.size} entries")
-    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
-        raise ParameterError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
-    if ridge_lambda == 0.0 and r.shape[0] < r.shape[1]:
-        raise SingularSystemError(
-            f"{r.shape[0]} rows cannot determine {r.shape[1]} weights; "
-            "set ridge_lambda > 0")
-
-    gram = r.T @ r + ridge_lambda * np.eye(r.shape[1])
-    try:
-        factor = cho_factor(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "normal equations are singular; set ridge_lambda > 0 "
-            f"(currently {ridge_lambda!r})") from exc
-    w = cho_solve(factor, r.T @ y)
-    return ReadoutWeights(w, float(ridge_lambda))
+    return normal_equations(states, targets).solve(ridge_lambda)
 
 
 def predict(states: np.ndarray, w: ReadoutWeights) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 from scipy.signal import lfilter
@@ -26,10 +26,11 @@ from .errors import (
 
 NARMA_DIVERGENCE_LIMIT = 10.0
 _MAX_REDRAWS = 100
-# NumPy sums fewer terms than this left to right and more pairwise; the
-# NARMA recursion mirrors whichever order NumPy uses, so its sequences do
-# not depend on how the sum is computed
+# NumPy sums fewer terms than this left to right and more pairwise, in
+# blocks of at most _PAIRWISE_BLOCK terms; the NARMA recursion mirrors
+# NumPy's order, so its sequences do not depend on how the sum is computed
 _PAIRWISE_MIN_TERMS = 8
+_PAIRWISE_BLOCK = 128
 
 # fixed constants of the surrogate pump-noise task
 _PUMP_AR_POLE = 0.9          # AR(1) pole of the pump-intensity input
@@ -141,28 +142,49 @@ def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
 
 def _narma_outputs(u: np.ndarray, n: int, n_terms: int) -> np.ndarray | None:
     """The NARMA-n outputs driven by ``u``, or None once |y| passes the
-    divergence limit. Short window sums run on plain floats, left to
-    right like NumPy's; long ones keep NumPy's pairwise ``sum``."""
+    divergence limit. Window sums run on plain floats in the order of
+    NumPy's ``sum`` over the same window."""
     length = u.size
     if n_terms >= _PAIRWISE_MIN_TERMS:
-        y = np.zeros(length)
-        for t in range(n + 1, length):
-            s = y[t - n_terms:t].sum()
-            y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * s \
-                + 1.5 * u[t - 1] * u[t - n] + 0.1
-            if abs(y[t]) > NARMA_DIVERGENCE_LIMIT:
-                return None
-        return y
+        window_sum = _pairwise_sum
+    else:
+        window_sum = partial(reduce, operator.add)
     uf = u.tolist()
     yf = [0.0] * length
     for t in range(n + 1, length):
         prev = yf[t - 1]
-        s = reduce(operator.add, yf[t - n_terms:t])
+        s = window_sum(yf[t - n_terms:t])
         yt = 0.3 * prev + 0.05 * prev * s + 1.5 * uf[t - 1] * uf[t - n] + 0.1
         if abs(yt) > NARMA_DIVERGENCE_LIMIT:
             return None
         yf[t] = yt
     return np.array(yf)
+
+
+def _pairwise_sum(w: list[float]) -> float:
+    """NumPy's pairwise sum of at least 8 float64 values: eight running
+    sums over each block of up to 128 terms, combined as a tree, the rest
+    added left to right; longer runs split in two at a multiple of 8."""
+    n = len(w)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(w[:half]) + _pairwise_sum(w[half:])
+    m = n - n % 8
+    r0, r1, r2, r3, r4, r5, r6, r7 = w[:8]
+    for i in range(8, m, 8):
+        r0 += w[i]
+        r1 += w[i + 1]
+        r2 += w[i + 2]
+        r3 += w[i + 3]
+        r4 += w[i + 4]
+        r5 += w[i + 5]
+        r6 += w[i + 6]
+        r7 += w[i + 7]
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for x in w[m:]:
+        res += x
+    return res
 
 
 def load_csv_task(input_path, target, train_fraction: float = 0.8) -> TaskDataset:

@@ -1,24 +1,33 @@
 """Sweep results files compared byte for byte with golden copies.
 
-The files in ``tests/golden/`` were written by the sweeps below with the
-per-sample ``step()`` drive and the NumPy-array NARMA loop, before the
-batched drive kernel and the plain-float NARMA loop replaced them. They
-cover detection noise, a lambda grid, a standardized CSV task, V = 7,
-35 and 100, and NARMA orders 2 and 10 (NumPy's left-to-right and pairwise
-sums). Regenerate them only for a change that is meant to alter results:
+The files in ``tests/golden/`` were written by the sweeps below while
+every lambda grid point still formed its own ridge Gram and NARMA windows
+of 8 or more terms were summed by NumPy; the drive then in place gave the
+same bytes as the per-sample ``step()`` drive. They cover detection
+noise, a lambda grid, a standardized CSV task, V = 7, 35 and 100, and
+NARMA orders 2 and 10 (NumPy's left-to-right and pairwise sums).
 
-    PYTHONPATH=src python tests/test_golden.py tests/golden
+BLAS splits a matrix product differently with each thread count, which
+moves the last digits of the ridge fits, so the sweeps run in a child
+process with BLAS pinned to one thread. Regenerate the files only for a
+change that is meant to alter results, under the same pin:
+
+    OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python tests/test_golden.py tests/golden
 """
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import pulserc
 from pulserc import ExperimentSpec, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FILES = ("narma_sweep.tsv", "csv_sweep.tsv")
 CSV_NAME = "series.csv"
 
 _COMMON = dict(washout=20, train_len=300, test_len=100, replications=3,
@@ -35,10 +44,10 @@ def write_csv(path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_sweeps(directory) -> list[str]:
-    """Write every golden sweep into ``directory`` and return the file
-    names. The CSV task is read through a relative path, so the results
-    header does not depend on where ``directory`` is."""
+def write_sweeps(directory) -> None:
+    """Write every golden sweep into ``directory``. The CSV task is read
+    through a relative path, so the results header does not depend on
+    where ``directory`` is."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     narma = ExperimentSpec(task="narma", lambda_grid=(1e-8, 1e-4, 1e-2),
@@ -57,11 +66,19 @@ def write_sweeps(directory) -> list[str]:
                   out_path="csv_sweep.tsv")
     finally:
         os.chdir(cwd)
-    return ["narma_sweep.tsv", "csv_sweep.tsv"]
+
+
+_PINNED_BLAS = {name: "1" for name in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def test_sweeps_match_golden_bytes(tmp_path):
-    for name in write_sweeps(tmp_path):
+    # BLAS reads its thread count once, at import, hence the child process
+    src = str(Path(pulserc.__file__).resolve().parent.parent)
+    env = {**os.environ, **_PINNED_BLAS, "PYTHONPATH": src}
+    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
+                   check=True)
+    for name in GOLDEN_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_factor, cho_solve
+
 from pulserc import (
     ExperimentSpec,
+    NarmaConfig,
     ResultRecord,
+    SingularSystemError,
     SpecError,
     emit_figure_data,
+    fit_ridge,
+    gen_narma,
+    generate_mask,
+    nrmse,
     parse_spec_file,
+    run,
     run_experiment,
     run_sweep,
     write_records,
@@ -60,6 +69,18 @@ class TestSpecFile:
         path = tmp_path / "exp.spec"
         path.write_text("# header\nschema = 1\n\nalpha = 0.5  # inline\n")
         assert parse_spec_file(path).alpha == 0.5
+
+    def test_hash_inside_value_is_kept(self, tmp_path):
+        path = tmp_path / "exp.spec"
+        path.write_text("schema = 1\ntask = csv\ncsv_input = run#2.csv\n"
+                        "csv_target = column:y\n")
+        assert parse_spec_file(path).csv_input == "run#2.csv"
+
+    def test_comment_after_whitespace(self, tmp_path):
+        path = tmp_path / "exp.spec"
+        path.write_text("schema = 1\norder = 3  # note\nalpha = 0.5\t#tab\n")
+        spec = parse_spec_file(path)
+        assert (spec.order, spec.alpha) == (3, 0.5)
 
     def test_hash_ignores_out_and_is_stable(self):
         a = small_spec(out="a.tsv")
@@ -188,6 +209,15 @@ class TestSweep:
         run_sweep(small_spec(replications=1), axes, out_path=tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(harness, "run_experiment", None)
+        out = tmp_path / "res.tsv"
+        with pytest.raises(SpecError, match="threads"):
+            run_sweep(small_spec(), [("order", [2, 3])], out_path=out,
+                      threads=threads)
+        assert not out.exists()
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         axes = [("order", [2, 3, 4])]
         run_sweep(small_spec(replications=1), axes,
@@ -196,6 +226,54 @@ class TestSweep:
                   out_path=tmp_path / "parallel.tsv", threads=3)
         assert (tmp_path / "serial.tsv").read_bytes() == \
             (tmp_path / "parallel.tsv").read_bytes()
+
+
+def fit_ridge_reference(states, targets, lam):
+    """The ridge solve as it was when every lambda grid point formed its
+    own Gram, kept verbatim as the bitwise reference."""
+    r = np.asarray(states, dtype=float)
+    y = np.asarray(targets, dtype=float).ravel()
+    gram = r.T @ r + lam * np.eye(r.shape[1])
+    return cho_solve(cho_factor(gram), r.T @ y)
+
+
+class TestLambdaGrid:
+    GRID = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
+
+    @staticmethod
+    def training_rows(num_nodes, train_len=300):
+        spec = small_spec(num_nodes=num_nodes, train_len=train_len)
+        ds = gen_narma(NarmaConfig(2, spec.total_len, 5))
+        states = run(ds.inputs, generate_mask(num_nodes, 9),
+                     spec.reservoir_params(noise_seed=0), washout=spec.washout)
+        return (states[: spec.train_len],
+                ds.targets[spec.washout: spec.washout + spec.train_len])
+
+    @pytest.mark.parametrize("num_nodes", [7, 100])
+    def test_bitwise_equal_to_per_lambda_fits(self, num_nodes):
+        r, y = self.training_rows(num_nodes)
+        n_fit = int(0.8 * len(y))
+        fits = harness._grid_fits(r, y, self.GRID)
+        want_errs = []
+        for lam, (w, err) in zip(self.GRID, fits):
+            want = fit_ridge_reference(r[:n_fit], y[:n_fit], lam)
+            want_errs.append(nrmse(y[n_fit:], r[n_fit:] @ want))
+            assert w.ridge_lambda == lam
+            assert np.array_equal(w.weights, want)
+        assert np.array_equal([err for _, err in fits], want_errs)
+        chosen = harness._select_lambda(r, y, self.GRID)
+        assert chosen == self.GRID[int(np.argmin(want_errs))]
+        assert np.array_equal(fit_ridge(r, y, chosen).weights,
+                              fit_ridge_reference(r, y, chosen))
+
+    def test_zero_lambda_on_short_fit_slice_is_singular(self):
+        # 100 training rows leave 80 to fit 101 weights
+        r, y = self.training_rows(100, train_len=100)
+        with pytest.raises(SingularSystemError):
+            harness._select_lambda(r, y, (1e-6, 0.0))
+        with pytest.raises(SingularSystemError, match="replication 0"):
+            run_experiment(small_spec(num_nodes=100, train_len=100,
+                                      lambda_grid=(1e-6, 0.0)))
 
 
 class TestSplitHygiene:

@@ -16,6 +16,7 @@ from pulserc import (
     pearson,
     predict,
 )
+from pulserc.readout import normal_equations
 
 
 def normal_equations_oracle(states, targets, lam):
@@ -89,6 +90,36 @@ class TestFitRidge:
     def test_negative_lambda(self):
         with pytest.raises(ParameterError):
             fit_ridge(np.eye(3), np.zeros(3), -1.0)
+
+
+class TestNormalEquations:
+    def test_solves_leave_the_system_intact(self):
+        rng = np.random.default_rng(7)
+        r = rng.standard_normal((40, 6))
+        y = rng.standard_normal(40)
+        system = normal_equations(r, y)
+        gram, rhs = system.gram.copy(), system.rhs.copy()
+        for lam in (1.0, 0.0, 1e-6, 1.0):
+            w = system.solve(lam)
+            assert np.array_equal(w.weights, fit_ridge(r, y, lam).weights)
+            assert np.array_equal(system.gram, gram)
+            assert np.array_equal(system.rhs, rhs)
+
+    def test_every_check_applies_per_solve(self):
+        rng = np.random.default_rng(8)
+        system = normal_equations(rng.standard_normal((4, 9)),
+                                  rng.standard_normal(4))
+        system.solve(1e-6)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                system.solve(bad)
+        with pytest.raises(SingularSystemError):
+            system.solve(0.0)
+        r = np.ones((10, 2))  # duplicated column: rank deficient
+        with pytest.raises(SingularSystemError):
+            normal_equations(r, np.arange(10.0)).solve(0.0)
+        with pytest.raises(DimensionError):
+            normal_equations(np.zeros((5, 2)), np.zeros(6))
 
 
 class TestPredict:

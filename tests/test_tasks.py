@@ -16,7 +16,7 @@ from pulserc import (
     pearson,
     standardize,
 )
-from pulserc.tasks import NARMA_DIVERGENCE_LIMIT
+from pulserc.tasks import NARMA_DIVERGENCE_LIMIT, _PAIRWISE_MIN_TERMS, _pairwise_sum
 
 
 def narma_reference(u, order, compat=False):
@@ -87,11 +87,17 @@ class TestGenNarma:
         assert np.max(np.abs(ds.targets - np.array(want))) <= 1e-14
         assert not np.array_equal(ds.targets, gen_narma(cfg).targets)
 
-    @pytest.mark.parametrize("order", range(1, 13))
+    # 1-40 spans NumPy's left-to-right sums (< 8 terms) and its unrolled
+    # pairwise block; 150 passes 128 terms, where NumPy splits the block.
+    # Above order 12 smaller inputs keep the recursion bounded up to order
+    # 22; from 23 on it diverges for every seed and only the redraws and
+    # the DivergenceError are compared.
+    @pytest.mark.parametrize("order", [*range(1, 41), 150])
     @pytest.mark.parametrize("compat", [False, True])
     def test_bitwise_equal_to_array_loop(self, order, compat):
+        high = 0.4 if order <= 12 else 0.1
         for seed in (3, 40):
-            cfg = NarmaConfig(order, 500, seed, input_high=0.4)
+            cfg = NarmaConfig(order, 500, seed, input_high=high)
             want = narma_array_loop(cfg, compat)
             if want is None:
                 with pytest.raises(DivergenceError):
@@ -101,6 +107,15 @@ class TestGenNarma:
             assert np.array_equal(ds.inputs, want[0])
             assert np.array_equal(ds.targets, want[1])
             assert ds.meta["effective_seed"] == want[2]
+
+    def test_pairwise_sum_bitwise_equal_to_numpy(self):
+        # windows of 8 to 300 terms, over many orders of magnitude, so the
+        # grouping of the additions shows in the last bits
+        rng = np.random.default_rng(8)
+        for n in range(_PAIRWISE_MIN_TERMS, 301):
+            for _ in range(5):
+                w = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 6, n)
+                assert _pairwise_sum(w.tolist()) == w.sum(), n
 
     def test_zero_input_fixed_point(self):
         # force u == 0 via a degenerate-interval workaround: the interval
