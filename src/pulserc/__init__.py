@@ -16,6 +16,7 @@ from .harness import (
     ResultRecord,
     emit_figure_data,
     parse_spec_file,
+    read_records,
     run_experiment,
     run_sweep,
     write_records,
@@ -81,6 +82,7 @@ __all__ = [
     "parse_spec_file",
     "pearson",
     "predict",
+    "read_records",
     "run",
     "run_experiment",
     "run_sweep",

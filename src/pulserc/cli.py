@@ -19,8 +19,8 @@ from .errors import PulseRcError, SpecError
 from .harness import (
     ExperimentSpec,
     emit_figure_data,
-    emit_pearson_table_from_file,
     parse_spec_file,
+    read_records,
     run_experiment,
     run_sweep,
 )
@@ -66,8 +66,6 @@ def _add_spec_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="results file (overrides the spec's)")
     p.add_argument("--seed", type=int, help="override base seed")
     p.add_argument("--replications", type=int, help="override replication count")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent sweep points (results are identical)")
     p.add_argument("--compat-narma-sum", action="store_true",
                    help="use the N-term NARMA sum convention")
 
@@ -111,7 +109,7 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     # a sweep without axes is the one experiment; it opens --out first, so
     # an unwritable path fails before any compute
-    [record] = run_sweep(spec, [], out_path=spec.out, threads=args.threads)
+    [record] = run_sweep(spec, [], out_path=spec.out)
     print(f"{spec.task} order={spec.order} V={spec.num_nodes}: "
           f"pearson {record.pearson_mean:.4f} +- {record.pearson_std:.4f}, "
           f"nrmse {record.nrmse_mean:.4f} +- {record.nrmse_std:.4f} "
@@ -122,20 +120,19 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     axes = [_parse_axis(a) for a in args.axis]
-    records = run_sweep(spec, axes, out_path=spec.out, threads=args.threads)
+    records = run_sweep(spec, axes, out_path=spec.out)
     total = sum(r.duration_s for r in records)
     print(f"{len(records)} experiment(s) -> {spec.out} ({total:.2f}s)")
     return 0
 
 
-def _parse_axis(text: str) -> tuple[str, list[float]]:
+def _parse_axis(text: str) -> tuple[str, list[str]]:
+    """``FIELD=V1,V2,...`` as (field, value texts); ``run_sweep`` coerces
+    each text to the field's type."""
     if "=" not in text:
         raise SpecError(f"axis must look like FIELD=V1,V2,..., got {text!r}")
     name, _, rest = text.partition("=")
-    try:
-        values = [float(p) for p in rest.split(",") if p.strip()]
-    except ValueError as exc:
-        raise SpecError(f"axis {name.strip()!r}: {exc}") from exc
+    values = [p.strip() for p in rest.split(",") if p.strip()]
     if not values:
         raise SpecError(f"axis {name.strip()!r} has no values")
     return name.strip(), values
@@ -158,7 +155,7 @@ def _cmd_figure(args) -> int:
     if args.figure == "pearson_vs_N":
         if not args.records:
             raise SpecError("figure pearson_vs_N needs --records")
-        emit_pearson_table_from_file(args.records, args.out)
+        emit_figure_data(read_records(args.records), "pearson_vs_N", args.out)
     else:
         if not args.spec:
             raise SpecError("figure prediction_trace needs --spec")

@@ -3,11 +3,12 @@
 An :class:`ExperimentSpec` describes one benchmark configuration; it can
 be built in code or parsed from a spec file, a flat ``key = value`` text
 format with '#' comments (at the start of a line or after whitespace) and
-a mandatory ``schema`` field (see ``SPEC_KEYS`` for the vocabulary).
+a mandatory ``schema`` field. ``SPEC_TYPES``, derived from the dataclass,
+is the one vocabulary that spec files, sweep axes and results files use.
 :func:`run_experiment` executes the spec over its replications;
 :func:`run_sweep` runs a Cartesian grid of field overrides and streams
 records to a results file whose content is a pure function of the spec,
-so reruns are byte-identical.
+so reruns are byte-identical; :func:`read_records` reads one back.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import itertools
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -39,13 +39,6 @@ _STREAM_MASK = 2
 # this many bytes: enough to amortize the per-step overhead over several
 # replications at small V, without stacking all of them at large V.
 _DRIVE_BLOCK_BYTES = 8 * 2**20
-
-# spec fields a sweep axis may override
-SWEEPABLE_FIELDS = frozenset({
-    "order", "num_nodes", "alpha", "beta", "gain_c", "pulse_period",
-    "bandwidth_time", "noise_sigma", "mask_seed", "washout", "train_len",
-    "test_len", "ridge_lambda", "replications", "seed",
-})
 
 _TASKS = ("narma", "surrogate", "csv")
 
@@ -95,6 +88,9 @@ class ExperimentSpec:
             raise SpecError("train_len and test_len must be >= 1")
         if self.washout < 0:
             raise SpecError(f"washout must be >= 0, got {self.washout}")
+        if self.seed < 0 or self.mask_seed < 0:
+            raise SpecError(f"seed and mask_seed must be >= 0, got "
+                            f"{self.seed} and {self.mask_seed}")
         if self.lambda_grid and self.train_len < 2:
             raise SpecError("lambda_grid selection needs train_len >= 2")
         for lam in (self.ridge_lambda, *self.lambda_grid):
@@ -136,6 +132,15 @@ class ExperimentSpec:
         items = sorted((k, _fmt_value(v)) for k, v in self.to_dict().items())
         blob = ";".join(f"{k}={v}" for k, v in items)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+# every spec field's type, in declaration order: the vocabulary of spec
+# files, sweep axes and results-file columns
+SPEC_TYPES = {f.name: type(f.default) for f in fields(ExperimentSpec)}
+
+# numeric fields a sweep axis may override
+SWEEPABLE_FIELDS = frozenset(
+    k for k, kind in SPEC_TYPES.items() if kind in (int, float) and k != "schema")
 
 
 @dataclass
@@ -210,50 +215,36 @@ def run_sweep(
     base: ExperimentSpec,
     axes: list[tuple[str, list]],
     out_path=None,
-    threads: int = 1,
 ) -> list[ResultRecord]:
     """Run the Cartesian product of axis values over the base spec.
 
-    Records come back in lexicographic order over the axes as given and
-    are streamed to ``out_path`` (when set) as they complete. Points are
-    independent, so ``threads > 1`` runs them concurrently without
-    changing any result.
+    Axis values may be numbers or text (as the CLI passes them); each is
+    coerced to its field's type. Records come back in lexicographic order
+    over the axes as given and are streamed to ``out_path`` (when set) as
+    they complete.
     """
-    if threads < 1:
-        raise SpecError(f"threads must be >= 1, got {threads}")
     base.validate()
-    if not axes:
-        axes = []
-    for name, values in axes:
+    for name, values in axes or ():
         if name not in SWEEPABLE_FIELDS:
             raise SpecError(
                 f"unknown sweep field {name!r}; sweepable fields: "
                 f"{', '.join(sorted(SWEEPABLE_FIELDS))}")
         if not values:
             raise SpecError(f"sweep axis {name!r} has no values")
-    specs = []
-    for combo in itertools.product(*(values for _, values in axes)):
-        overrides = {name: _coerce_field(base, name, value)
-                     for (name, _), value in zip(axes, combo)}
-        specs.append(replace(base, **overrides))
+    axes = [(name, [_coerce_field(name, v) for v in values])
+            for name, values in axes or ()]
+    specs = [replace(base, **dict(zip((name for name, _ in axes), combo)))
+             for combo in itertools.product(*(values for _, values in axes))]
     for s in specs:
         s.validate()
 
     writer = _RecordWriter(out_path, base, axes) if out_path else None
     records: list[ResultRecord] = []
     try:
-        if threads <= 1 or len(specs) <= 1:
-            results = map(run_experiment, specs)
-            for rec in results:
-                records.append(rec)
-                if writer:
-                    writer.write(rec)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for rec in pool.map(run_experiment, specs):
-                    records.append(rec)
-                    if writer:
-                        writer.write(rec)
+        for rec in map(run_experiment, specs):
+            records.append(rec)
+            if writer:
+                writer.write(rec)
     finally:
         if writer:
             writer.close()
@@ -296,51 +287,8 @@ def emit_figure_data(records: list[ResultRecord], figure: str, out) -> None:
     _write_text(out, "\n".join(lines) + "\n")
 
 
-def emit_pearson_table_from_file(records_path, out) -> None:
-    """CLI variant of ``pearson_vs_N`` working from a results file."""
-    names, rows = read_records_table(records_path)
-    needed = ("order", "num_nodes", "pearson_mean", "pearson_std")
-    missing = [k for k in needed if k not in names]
-    if missing:
-        raise SpecError(
-            f"{records_path}: missing column(s) {missing}; available: "
-            f"{', '.join(names)}")
-    idx = [names.index(k) for k in needed]
-    lines = ["N\tV\tpearson_mean\tpearson_std"]
-    for row in rows:
-        lines.append("\t".join(row[i] for i in idx))
-    _write_text(out, "\n".join(lines) + "\n")
-
-
-def read_records_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a results file back: (column names, rows of strings)."""
-    names: list[str] | None = None
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if names is None:
-                names = parts
-            else:
-                rows.append(parts)
-    if names is None:
-        raise SpecError(f"{path}: no table header found")
-    return names, rows
-
-
 # ---------------------------------------------------------------------------
 # spec files
-
-SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
-
-_INT_KEYS = {"schema", "order", "num_nodes", "mask_seed", "washout",
-             "train_len", "test_len", "replications", "seed"}
-_FLOAT_KEYS = {"alpha", "beta", "gain_c", "pulse_period", "bandwidth_time",
-               "noise_sigma", "ridge_lambda"}
-_BOOL_KEYS = {"compat_narma_sum", "standardize"}
 
 # '#' opens a comment at the start of a line or after whitespace, so a
 # value such as ``run#2.csv`` keeps its '#'
@@ -368,14 +316,14 @@ def parse_spec_file(path) -> ExperimentSpec:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
-            if key not in SPEC_KEYS:
+            if key not in SPEC_TYPES:
                 raise SpecError(
                     f"{path}:{lineno}: unknown key {key!r}; known keys: "
-                    f"{', '.join(sorted(SPEC_KEYS))}")
+                    f"{', '.join(sorted(SPEC_TYPES))}")
             if key in values:
                 raise SpecError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = _parse_value(key, text)
+                values[key] = _parse_value(SPEC_TYPES[key], text)
             except ValueError as exc:
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
     if "schema" not in values:
@@ -393,22 +341,19 @@ def write_spec_file(spec: ExperimentSpec, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_value(key: str, text: str):
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _BOOL_KEYS:
+def _parse_value(kind: type, text: str):
+    """Inverse of :func:`_fmt_value` for a value of type ``kind``."""
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    if key == "lambda_grid":
-        if not text:
-            return ()
+    if kind is tuple:
         return tuple(float(p) for p in text.split(",") if p.strip())
-    return text
+    if kind is list:
+        return [float(p) for p in text.split(";") if p.strip()]
+    return kind(text)
 
 
 def _fmt_value(v) -> str:
@@ -418,6 +363,8 @@ def _fmt_value(v) -> str:
         return format(v, ".12g")
     if isinstance(v, tuple):
         return ",".join(format(x, ".12g") for x in v)
+    if isinstance(v, list):
+        return ";".join(_fmt_value(x) for x in v)
     return str(v)
 
 
@@ -539,14 +486,14 @@ def _spread(values) -> float:
 # ---------------------------------------------------------------------------
 # results files
 
-_RECORD_COLUMNS = (
-    "task", "order", "compat_narma_sum", "csv_input", "csv_target",
-    "standardize", "num_nodes", "alpha", "beta", "gain_c", "pulse_period",
-    "bandwidth_time", "noise_sigma", "mask_kind", "mask_seed", "washout",
-    "train_len", "test_len", "ridge_lambda", "lambda_grid", "replications",
-    "seed", "spec_hash", "pearson_mean", "pearson_std", "nrmse_mean",
-    "nrmse_std", "pearson_reps", "nrmse_reps", "lambda_reps",
-)
+# results-file columns and their types: the spec fields but the schema
+# (which the header carries) and the output path, then the metrics
+_RECORD_COLUMNS = {
+    **{k: kind for k, kind in SPEC_TYPES.items() if k not in ("schema", "out")},
+    "spec_hash": str, "pearson_mean": float, "pearson_std": float,
+    "nrmse_mean": float, "nrmse_std": float,
+    "pearson_reps": list, "nrmse_reps": list, "lambda_reps": list,
+}
 
 
 class _RecordWriter:
@@ -576,23 +523,8 @@ class _RecordWriter:
 
 
 def format_record_row(rec: ResultRecord) -> str:
-    cells = []
-    for col in _RECORD_COLUMNS:
-        if col in rec.spec_fields:
-            cells.append(_fmt_value(rec.spec_fields[col]))
-        elif col == "spec_hash":
-            cells.append(rec.spec_hash)
-        elif col in ("pearson_mean", "pearson_std", "nrmse_mean", "nrmse_std"):
-            cells.append(_fmt_value(getattr(rec, col)))
-        elif col == "pearson_reps":
-            cells.append(";".join(_fmt_value(v) for v in rec.pearson_reps))
-        elif col == "nrmse_reps":
-            cells.append(";".join(_fmt_value(v) for v in rec.nrmse_reps))
-        elif col == "lambda_reps":
-            cells.append(";".join(_fmt_value(v) for v in rec.lambda_reps))
-        else:
-            raise SpecError(f"unmapped record column {col!r}")
-    return "\t".join(cells)
+    cells = {**rec.spec_fields, **vars(rec)}
+    return "\t".join(_fmt_value(cells[k]) for k in _RECORD_COLUMNS)
 
 
 def write_records(path, base: ExperimentSpec, axes, records) -> None:
@@ -605,18 +537,70 @@ def write_records(path, base: ExperimentSpec, axes, records) -> None:
         writer.close()
 
 
-def _coerce_field(base: ExperimentSpec, name: str, value):
-    current = getattr(base, name)
-    if isinstance(current, bool):
-        raise SpecError(f"field {name!r} is not sweepable")
-    if isinstance(current, int):
-        as_int = int(round(float(value)))
-        if abs(float(value) - as_int) > 1e-9:
-            raise SpecError(f"field {name!r} needs an integer, got {value!r}")
-        return as_int
-    if isinstance(current, float):
-        return float(value)
-    raise SpecError(f"field {name!r} is not numeric")
+def read_records(path) -> list[ResultRecord]:
+    """Inverse of :func:`write_records`: every row of a results file as a
+    record, each column parsed back to its type as spec values are.
+
+    Floats come back as written (12 significant digits). A results file
+    holds no durations and no test traces, so ``duration_s`` is NaN and
+    the trace fields are None.
+    """
+    schema, names, records = None, None, []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line.startswith("# schema = "):
+                schema = line.partition("=")[2].strip()
+            if not line.strip() or line.startswith("#"):
+                continue
+            cells = line.split("\t")
+            if names is None:
+                names = cells
+                missing = [k for k in _RECORD_COLUMNS if k not in names]
+                if missing:
+                    raise SpecError(
+                        f"{path}: missing column(s) {missing}; available: "
+                        f"{', '.join(names)}")
+                if schema != str(SCHEMA_VERSION):
+                    raise SpecError(f"{path}: results schema {schema!r}; this "
+                                    f"build reads schema {SCHEMA_VERSION}")
+                continue
+            if len(cells) != len(names):
+                raise SpecError(f"{path}:{lineno}: {len(cells)} cells under "
+                                f"{len(names)} columns")
+            row = dict(zip(names, cells))
+            try:
+                values = {k: _parse_value(kind, row[k])
+                          for k, kind in _RECORD_COLUMNS.items()}
+            except ValueError as exc:
+                raise SpecError(f"{path}:{lineno}: {exc}") from exc
+            spec_fields = {"schema": SCHEMA_VERSION,
+                           **{k: values.pop(k) for k in SPEC_TYPES if k in values}}
+            records.append(ResultRecord(spec_fields=spec_fields,
+                                        duration_s=math.nan, **values))
+    if names is None:
+        raise SpecError(f"{path}: no table header found")
+    return records
+
+
+def _coerce_field(name: str, value):
+    """A sweep value as its field's type. Integers and integer text are
+    taken exactly; any other value for an int field must be integral."""
+    kind = SPEC_TYPES[name]
+    if kind is int and isinstance(value, (str, int, np.integer)):
+        try:
+            return int(value)
+        except ValueError:
+            pass  # text such as "35.0", checked below
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"field {name!r}: {exc}") from exc
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise SpecError(f"field {name!r} needs an integer, got {value!r}")
+    return int(number)
 
 
 def _write_text(out, text: str) -> None:

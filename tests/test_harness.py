@@ -1,3 +1,9 @@
+import itertools
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +21,7 @@ from pulserc import (
     generate_mask,
     nrmse,
     parse_spec_file,
+    read_records,
     run,
     run_experiment,
     run_sweep,
@@ -23,7 +30,8 @@ from pulserc import (
 )
 import pulserc.harness as harness
 from pulserc.cli import main
-from pulserc.harness import read_records_table
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -36,10 +44,28 @@ def small_spec(**overrides) -> ExperimentSpec:
 
 class TestSpecFile:
     def test_roundtrip(self, tmp_path):
-        spec = small_spec(lambda_grid=(1e-8, 1e-4), standardize=True)
+        spec = ExperimentSpec(
+            task="csv", order=3, compat_narma_sum=True, csv_input="in#1.csv",
+            csv_target="column:y", standardize=True, num_nodes=12, alpha=0.55,
+            beta=0.8, gain_c=1.5, pulse_period=5e-9, bandwidth_time=2e-8,
+            noise_sigma=0.01, mask_kind="binary", mask_seed=4, washout=10,
+            train_len=150, test_len=40, ridge_lambda=1e-5,
+            lambda_grid=(1e-8, 0.5), replications=3, seed=9, out="x.tsv")
+        # every field but the schema differs from its default, so each one
+        # is really carried through the file
+        assert [f.name for f in fields(spec)
+                if getattr(spec, f.name) == f.default] == ["schema"]
         path = tmp_path / "exp.spec"
         write_spec_file(spec, path)
         assert parse_spec_file(path) == spec
+
+    def test_readme_documents_every_field(self):
+        text = README.read_text(encoding="utf-8")
+        table = text[text.index("| key | default | meaning |"):].splitlines()
+        rows = itertools.takewhile(lambda ln: ln.startswith("|"), table[2:])
+        documented = {name for row in rows
+                      for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert documented == {f.name for f in fields(ExperimentSpec)}
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "exp.spec"
@@ -186,10 +212,9 @@ class TestSweep:
                              ("num_nodes", [10, 20])],
                             out_path=tmp_path / "r.tsv")
         assert len(records) == 10
-        names, rows = read_records_table(tmp_path / "r.tsv")
-        assert len(rows) == 10
-        orders = [row[names.index("order")] for row in rows]
-        assert orders == ["2", "2", "3", "3", "4", "4", "5", "5", "6", "6"]
+        orders = [rec.spec_fields["order"]
+                  for rec in read_records(tmp_path / "r.tsv")]
+        assert orders == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
 
     def test_empty_axes(self):
         records = run_sweep(small_spec(replications=1), [])
@@ -203,29 +228,19 @@ class TestSweep:
         with pytest.raises(SpecError, match="integer"):
             run_sweep(small_spec(), [("num_nodes", [10.5])])
 
+    def test_axis_text_takes_the_field_type(self, tmp_path):
+        records = run_sweep(small_spec(replications=1),
+                            [("num_nodes", ["10.0", "12"]), ("alpha", ["0.5"])],
+                            out_path=tmp_path / "r.tsv")
+        assert [(r.spec_fields["num_nodes"], r.spec_fields["alpha"])
+                for r in records] == [(10, 0.5), (12, 0.5)]
+        assert "# axis: num_nodes = 10,12\n" in (tmp_path / "r.tsv").read_text()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         axes = [("order", [2, 3])]
         run_sweep(small_spec(replications=1), axes, out_path=tmp_path / "a.tsv")
         run_sweep(small_spec(replications=1), axes, out_path=tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
-
-    @pytest.mark.parametrize("threads", [0, -2])
-    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setattr(harness, "run_experiment", None)
-        out = tmp_path / "res.tsv"
-        with pytest.raises(SpecError, match="threads"):
-            run_sweep(small_spec(), [("order", [2, 3])], out_path=out,
-                      threads=threads)
-        assert not out.exists()
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        axes = [("order", [2, 3, 4])]
-        run_sweep(small_spec(replications=1), axes,
-                  out_path=tmp_path / "serial.tsv", threads=1)
-        run_sweep(small_spec(replications=1), axes,
-                  out_path=tmp_path / "parallel.tsv", threads=3)
-        assert (tmp_path / "serial.tsv").read_bytes() == \
-            (tmp_path / "parallel.tsv").read_bytes()
 
 
 def fit_ridge_reference(states, targets, lam):
@@ -371,17 +386,32 @@ class TestCli:
         out = tmp_path / "override.tsv"
         assert main(["run", "--spec", str(path), "--out", str(out),
                      "--replications", "2", "--seed", "99"]) == 0
-        names, rows = read_records_table(out)
-        assert rows[0][names.index("seed")] == "99"
-        assert rows[0][names.index("replications")] == "2"
+        [rec] = read_records(out)
+        assert rec.spec_fields["seed"] == 99
+        assert rec.spec_fields["replications"] == 2
 
     def test_sweep(self, tmp_path):
         path = self._spec_file(tmp_path)
         out = tmp_path / "sweep.tsv"
         assert main(["sweep", "--spec", str(path), "--out", str(out),
                      "--axis", "order=2,3", "--axis", "num_nodes=10,20"]) == 0
-        _, rows = read_records_table(out)
-        assert len(rows) == 4
+        assert len(read_records(out)) == 4
+
+    def test_integer_axis_value_stays_exact(self, tmp_path):
+        path = self._spec_file(tmp_path)
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--spec", str(path), "--out", str(out),
+                     "--axis", "seed=12345678901234567"]) == 0
+        header, row = out.read_text().splitlines()[-2:]
+        assert row.split("\t")[header.split("\t").index("seed")] == \
+            "12345678901234567"
+
+    def test_non_integral_axis_value_is_spec_error(self, tmp_path,
+                                                   monkeypatch):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        assert main(["sweep", "--spec", str(path),
+                     "--axis", "num_nodes=10.5"]) == 2
 
     def test_spec_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.spec"
@@ -418,11 +448,18 @@ class TestCli:
         out = tmp_path / "no_such_dir" / "res.tsv"
         assert main(["run", "--spec", str(path), "--out", str(out)]) == 3
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("overrides", [
+        dict(mask_seed=-1),
+        dict(task="surrogate", mask_seed=-1),
+        dict(task="surrogate", seed=-1),
+        dict(task="csv", csv_input="u.csv", csv_target="y.csv", seed=-1),
+    ])
+    def test_negative_seed_is_spec_error(self, tmp_path, monkeypatch, capsys,
+                                         overrides):
         self._forbid_compute(monkeypatch)
-        path = self._spec_file(tmp_path)
-        assert main([command, "--spec", str(path), "--threads", "0"]) == 2
+        path = self._spec_file(tmp_path, **overrides)
+        assert main(["run", "--spec", str(path)]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_axis_exit_code(self, tmp_path):
         path = self._spec_file(tmp_path)
@@ -455,8 +492,8 @@ class TestCli:
         out = tmp_path / "compat.tsv"
         assert main(["run", "--spec", str(path), "--out", str(out),
                      "--compat-narma-sum"]) == 0
-        names, rows = read_records_table(out)
-        assert rows[0][names.index("compat_narma_sum")] == "true"
+        [rec] = read_records(out)
+        assert rec.spec_fields["compat_narma_sum"] is True
 
     def test_figure_pearson_from_records(self, tmp_path):
         path = self._spec_file(tmp_path)
@@ -468,6 +505,32 @@ class TestCli:
                      "--records", str(sweep_out), "--out", str(fig_out)]) == 0
         lines = fig_out.read_text().strip().split("\n")
         assert len(lines) == 3
+
+    def test_figure_from_records_file_matches_in_memory(self, tmp_path):
+        sweep_out = tmp_path / "sweep.tsv"
+        records = run_sweep(small_spec(replications=3),
+                            [("order", [2, 3]), ("num_nodes", [10, 20])],
+                            out_path=sweep_out)
+        want = tmp_path / "memory.tsv"
+        emit_figure_data(records, "pearson_vs_N", want)
+        got = tmp_path / "file.tsv"
+        assert main(["figure", "--figure", "pearson_vs_N",
+                     "--records", str(sweep_out), "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_figure_from_file_missing_columns(self, tmp_path, capsys):
+        path = self._spec_file(tmp_path)
+        sweep_out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--spec", str(path), "--out", str(sweep_out)]) == 0
+        lines = sweep_out.read_text().splitlines()
+        keep = [i for i, name in enumerate(lines[-2].split("\t"))
+                if name not in ("nrmse_std", "lambda_reps")]
+        sweep_out.write_text("\n".join(
+            lines[:-2] + ["\t".join(ln.split("\t")[i] for i in keep)
+                          for ln in lines[-2:]]) + "\n")
+        assert main(["figure", "--figure", "pearson_vs_N", "--records",
+                     str(sweep_out), "--out", str(tmp_path / "fig.tsv")]) == 2
+        assert "['nrmse_std', 'lambda_reps']" in capsys.readouterr().err
 
     def test_figure_trace_from_spec(self, tmp_path):
         path = self._spec_file(tmp_path)
@@ -501,3 +564,42 @@ class TestRecordsFile:
         out = tmp_path / "res.tsv"
         write_records(out, spec, [], [rec])
         assert "duration" not in out.read_text()
+
+    def test_read_records_inverts_write_records(self, tmp_path):
+        spec = small_spec(replications=3, lambda_grid=(1e-8, 1e-4),
+                          noise_sigma=0.01)
+        axes = [("order", [2, 3])]
+        records = run_sweep(spec, axes)
+        out = tmp_path / "res.tsv"
+        write_records(out, spec, axes, records)
+        back = read_records(out)
+        assert len(back) == len(records)
+
+        def written(x):  # a float as the file holds it
+            return float(format(x, ".12g"))
+
+        for rec, got in zip(records, back):
+            assert got.spec_fields == rec.spec_fields
+            assert list(got.spec_fields) == list(rec.spec_fields)
+            assert got.spec_hash == rec.spec_hash
+            for name in ("pearson_mean", "pearson_std", "nrmse_mean",
+                         "nrmse_std"):
+                assert getattr(got, name) == written(getattr(rec, name))
+            for name in ("pearson_reps", "nrmse_reps", "lambda_reps"):
+                assert getattr(got, name) == [written(v)
+                                              for v in getattr(rec, name)]
+            assert math.isnan(got.duration_s)
+            assert got.trace_targets is None and got.readout_first is None
+        # writing the records read back gives the same bytes
+        again = tmp_path / "again.tsv"
+        write_records(again, spec, axes, back)
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_read_records_rejects_other_schema(self, tmp_path):
+        spec = small_spec(replications=1)
+        out = tmp_path / "res.tsv"
+        write_records(out, spec, [], [run_experiment(spec)])
+        out.write_text(out.read_text().replace("# schema = 1\n",
+                                               "# schema = 2\n"))
+        with pytest.raises(SpecError, match="schema"):
+            read_records(out)
