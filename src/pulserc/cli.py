@@ -89,7 +89,7 @@ def main(argv=None) -> int:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = parse_spec_file(args.spec)
+    spec = parse_spec_file(args.spec)  # run_sweep validates the overrides
     overrides = {}
     if args.out is not None:
         overrides["out"] = args.out
@@ -99,9 +99,9 @@ def _load_spec(args) -> ExperimentSpec:
         overrides["replications"] = args.replications
     if args.compat_narma_sum:
         overrides["compat_narma_sum"] = True
-    if overrides:
-        spec = replace(spec, **overrides)
-        spec.validate()
+    spec = replace(spec, **overrides)
+    if not spec.out:
+        raise SpecError("the results path (out / --out) is empty")
     return spec
 
 
@@ -132,10 +132,7 @@ def _parse_axis(text: str) -> tuple[str, list[str]]:
     if "=" not in text:
         raise SpecError(f"axis must look like FIELD=V1,V2,..., got {text!r}")
     name, _, rest = text.partition("=")
-    values = [p.strip() for p in rest.split(",") if p.strip()]
-    if not values:
-        raise SpecError(f"axis {name.strip()!r} has no values")
-    return name.strip(), values
+    return name.strip(), [p.strip() for p in rest.split(",") if p.strip()]
 
 
 def _cmd_narma_gen(args) -> int:

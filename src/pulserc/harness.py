@@ -13,6 +13,7 @@ so reruns are byte-identical; :func:`read_records` reads one back.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import PulseRcError, SpecError
 from .readout import ReadoutWeights, evaluate, fit_ridge, normal_equations, nrmse, predict
-from .reservoir import ReservoirParams, drive_block, generate_mask
+from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
 from .tasks import NarmaConfig, TaskDataset, gen_narma, gen_surrogate_laser, load_csv_task, standardize
 
 SCHEMA_VERSION = 1
@@ -82,23 +83,29 @@ class ExperimentSpec:
             raise SpecError(f"task must be one of {_TASKS}, got {self.task!r}")
         if self.task == "csv" and not (self.csv_input and self.csv_target):
             raise SpecError("task 'csv' needs csv_input and csv_target")
+        if self.mask_kind not in MASK_KINDS:
+            raise SpecError(
+                f"mask_kind must be one of {MASK_KINDS}, got {self.mask_kind!r}")
         if self.replications < 1:
             raise SpecError(f"replications must be >= 1, got {self.replications}")
-        if self.train_len < 1 or self.test_len < 1:
-            raise SpecError("train_len and test_len must be >= 1")
+        if self.train_len < 1 or self.test_len < 2:
+            raise SpecError(f"train_len must be >= 1 and test_len >= 2, got "
+                            f"{self.train_len} and {self.test_len}")
         if self.washout < 0:
             raise SpecError(f"washout must be >= 0, got {self.washout}")
         if self.seed < 0 or self.mask_seed < 0:
             raise SpecError(f"seed and mask_seed must be >= 0, got "
                             f"{self.seed} and {self.mask_seed}")
-        if self.lambda_grid and self.train_len < 2:
-            raise SpecError("lambda_grid selection needs train_len >= 2")
+        held_out = self.train_len - _fit_rows(self.train_len)
+        if self.lambda_grid and held_out < 2:
+            raise SpecError(f"lambda_grid needs >= 2 held-out training rows; "
+                            f"train_len {self.train_len} leaves {held_out}")
         for lam in (self.ridge_lambda, *self.lambda_grid):
             if not (math.isfinite(lam) and lam >= 0):
                 raise SpecError(
                     f"ridge strength must be finite and >= 0, got {lam}")
         try:
-            self.reservoir_params(noise_seed=0)
+            self.reservoir_params()
             if self.task == "narma":
                 NarmaConfig(self.order, self.total_len, self.seed)
         except PulseRcError as exc:
@@ -109,22 +116,18 @@ class ExperimentSpec:
         """Samples a generated task must provide."""
         return self.washout + self.train_len + self.test_len
 
-    def reservoir_params(self, noise_seed: int) -> ReservoirParams:
+    def reservoir_params(self) -> ReservoirParams:
+        """The reservoir constants; noise seeds go per replication."""
         return ReservoirParams(
             num_nodes=self.num_nodes, alpha=self.alpha, beta=self.beta,
             gain_c=self.gain_c, pulse_period=self.pulse_period,
-            bandwidth_time=self.bandwidth_time, noise_sigma=self.noise_sigma,
-            seed=noise_seed)
+            bandwidth_time=self.bandwidth_time, noise_sigma=self.noise_sigma)
 
     def to_dict(self) -> dict:
         """Experiment-defining fields, in declaration order. The output
         path is a runtime knob and is left out."""
-        d = {}
-        for f in fields(self):
-            if f.name == "out":
-                continue
-            d[f.name] = getattr(self, f.name)
-        return d
+        return {f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "out"}
 
     def spec_hash(self) -> str:
         """Digest of the experiment-defining fields, independent of field
@@ -184,7 +187,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     datasets, masks = _prepare_replications(spec)
     noise_seeds = [derive_seed(spec.seed, r, _STREAM_NOISE)
                    for r in range(spec.replications)]
-    params = spec.reservoir_params(noise_seed=0)  # seeds go per replication
+    params = spec.reservoir_params()
     rep_bytes = spec.total_len * (spec.num_nodes + 1) * 8
     block = max(1, min(spec.replications, _DRIVE_BLOCK_BYTES // rep_bytes))
 
@@ -219,36 +222,33 @@ def run_sweep(
     """Run the Cartesian product of axis values over the base spec.
 
     Axis values may be numbers or text (as the CLI passes them); each is
-    coerced to its field's type. Records come back in lexicographic order
-    over the axes as given and are streamed to ``out_path`` (when set) as
-    they complete.
+    read as its field's type, as a spec file reads it. Every point is
+    validated before any compute. Records come back in lexicographic order
+    over the axes as given and are streamed to ``out_path`` (unless None)
+    as they complete.
     """
     base.validate()
+    typed: dict[str, list] = {}
     for name, values in axes or ():
         if name not in SWEEPABLE_FIELDS:
             raise SpecError(
                 f"unknown sweep field {name!r}; sweepable fields: "
                 f"{', '.join(sorted(SWEEPABLE_FIELDS))}")
+        if name in typed:
+            raise SpecError(f"sweep axis {name!r} is given more than once")
         if not values:
             raise SpecError(f"sweep axis {name!r} has no values")
-    axes = [(name, [_coerce_field(name, v) for v in values])
-            for name, values in axes or ()]
-    specs = [replace(base, **dict(zip((name for name, _ in axes), combo)))
-             for combo in itertools.product(*(values for _, values in axes))]
+        try:
+            typed[name] = [_parse_value(SPEC_TYPES[name], str(v)) for v in values]
+        except ValueError as exc:
+            raise SpecError(f"field {name!r}: {exc}") from exc
+    specs = [replace(base, **dict(zip(typed, combo)))
+             for combo in itertools.product(*typed.values())]
     for s in specs:
         s.validate()
-
-    writer = _RecordWriter(out_path, base, axes) if out_path else None
-    records: list[ResultRecord] = []
-    try:
-        for rec in map(run_experiment, specs):
-            records.append(rec)
-            if writer:
-                writer.write(rec)
-    finally:
-        if writer:
-            writer.close()
-    return records
+    if out_path is None:
+        return list(map(run_experiment, specs))
+    return write_records(out_path, base, typed.items(), map(run_experiment, specs))
 
 
 def emit_figure_data(records: list[ResultRecord], figure: str, out) -> None:
@@ -284,7 +284,7 @@ def emit_figure_data(records: list[ResultRecord], figure: str, out) -> None:
     else:
         raise SpecError(
             f"unknown figure {figure!r}; choose pearson_vs_N or prediction_trace")
-    _write_text(out, "\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +313,7 @@ def parse_spec_file(path) -> ExperimentSpec:
                 continue
             if "=" not in line:
                 raise SpecError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
+            key, text = (part.strip() for part in line.split("=", 1))
             if key not in SPEC_TYPES:
                 raise SpecError(
                     f"{path}:{lineno}: unknown key {key!r}; known keys: "
@@ -335,14 +333,21 @@ def parse_spec_file(path) -> ExperimentSpec:
 
 def write_spec_file(spec: ExperimentSpec, path) -> None:
     """Inverse of :func:`parse_spec_file`."""
-    lines = []
-    for f in fields(spec):
-        lines.append(f"{f.name} = {_fmt_value(getattr(spec, f.name))}")
+    lines = [f"{f.name} = {_fmt_value(getattr(spec, f.name))}"
+             for f in fields(spec)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _parse_value(kind: type, text: str):
-    """Inverse of :func:`_fmt_value` for a value of type ``kind``."""
+    """Inverse of :func:`_fmt_value` for a value of type ``kind``. An int
+    is read exactly, or from an integral number such as ``35.0``."""
+    if kind is int:
+        with contextlib.suppress(ValueError):
+            return int(text)
+        with contextlib.suppress(ValueError):
+            if float(text).is_integer():
+                return int(float(text))
+        raise ValueError(f"expected an integer, got {text!r}")
     if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
@@ -460,14 +465,19 @@ def _grid_fits(r_train, y_train, grid) -> list[tuple[ReadoutWeights, float]]:
     """Every grid point's readout, fitted on the first 80% of the training
     rows, with its NRMSE on the last 20%. The fit slice's normal equations
     are formed once and solved for each grid point."""
-    n = r_train.shape[0]
-    n_fit = max(1, min(n - 1, int(0.8 * n)))
+    n_fit = _fit_rows(r_train.shape[0])
     system = normal_equations(r_train[:n_fit], y_train[:n_fit])
     fits = []
     for lam in grid:
         w = system.solve(lam)
         fits.append((w, nrmse(y_train[n_fit:], predict(r_train[n_fit:], w))))
     return fits
+
+
+def _fit_rows(n: int) -> int:
+    """Rows of an n-row training slice that the lambda grid fits on; the
+    rest are held out to score each grid point."""
+    return max(1, min(n - 1, int(0.8 * n)))
 
 
 def _select_lambda(r_train, y_train, grid) -> float:
@@ -496,45 +506,29 @@ _RECORD_COLUMNS = {
 }
 
 
-class _RecordWriter:
-    """Streams records to a results file in completion order.
+def write_records(path, base: ExperimentSpec, axes, records) -> list[ResultRecord]:
+    """Write a results file: a header echoing the base spec and the axes,
+    then one row per record, each written and flushed as ``records``
+    yields it, so a run that fails partway leaves the finished rows.
+    Returns the records as a list.
 
     Everything written is a pure function of the spec (no timestamps and
     no durations), so a rerun produces a byte-identical file.
     """
-
-    def __init__(self, path, base: ExperimentSpec, axes) -> None:
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write("# pulserc results\n")
-        self._fh.write(f"# schema = {SCHEMA_VERSION}\n")
+    done = []
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# pulserc results\n# schema = {SCHEMA_VERSION}\n")
         for key, value in base.to_dict().items():
-            self._fh.write(f"# spec: {key} = {_fmt_value(value)}\n")
+            fh.write(f"# spec: {key} = {_fmt_value(value)}\n")
         for name, values in axes:
-            joined = ",".join(_fmt_value(v) for v in values)
-            self._fh.write(f"# axis: {name} = {joined}\n")
-        self._fh.write("\t".join(_RECORD_COLUMNS) + "\n")
-
-    def write(self, rec: ResultRecord) -> None:
-        self._fh.write(format_record_row(rec) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-
-def format_record_row(rec: ResultRecord) -> str:
-    cells = {**rec.spec_fields, **vars(rec)}
-    return "\t".join(_fmt_value(cells[k]) for k in _RECORD_COLUMNS)
-
-
-def write_records(path, base: ExperimentSpec, axes, records) -> None:
-    """Write a complete results file in one go."""
-    writer = _RecordWriter(path, base, axes)
-    try:
+            fh.write(f"# axis: {name} = {','.join(map(_fmt_value, values))}\n")
+        fh.write("\t".join(_RECORD_COLUMNS) + "\n")
         for rec in records:
-            writer.write(rec)
-    finally:
-        writer.close()
+            cells = {**rec.spec_fields, **vars(rec)}
+            fh.write("\t".join(_fmt_value(cells[k]) for k in _RECORD_COLUMNS) + "\n")
+            fh.flush()
+            done.append(rec)
+    return done
 
 
 def read_records(path) -> list[ResultRecord]:
@@ -581,30 +575,3 @@ def read_records(path) -> list[ResultRecord]:
     if names is None:
         raise SpecError(f"{path}: no table header found")
     return records
-
-
-def _coerce_field(name: str, value):
-    """A sweep value as its field's type. Integers and integer text are
-    taken exactly; any other value for an int field must be integral."""
-    kind = SPEC_TYPES[name]
-    if kind is int and isinstance(value, (str, int, np.integer)):
-        try:
-            return int(value)
-        except ValueError:
-            pass  # text such as "35.0", checked below
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"field {name!r}: {exc}") from exc
-    if kind is float:
-        return number
-    if not number.is_integer():
-        raise SpecError(f"field {name!r} needs an integer, got {value!r}")
-    return int(number)
-
-
-def _write_text(out, text: str) -> None:
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")

@@ -34,6 +34,7 @@ from scipy.signal import lfilter
 from .errors import DimensionError, ParameterError
 
 _FILTER_MODES = ("two_term", "full")
+MASK_KINDS = ("uniform", "binary")
 
 # steps of detection noise drawn per generator call in the drive kernel;
 # any value gives the same stream, this one keeps the buffer small
@@ -128,8 +129,8 @@ def generate_mask(num_nodes: int, seed: int, kind: str = "uniform") -> Mask:
     """
     if num_nodes < 1:
         raise ParameterError(f"num_nodes must be >= 1, got {num_nodes}")
-    if kind not in ("uniform", "binary"):
-        raise ParameterError(f"mask kind must be 'uniform' or 'binary', got {kind!r}")
+    if kind not in MASK_KINDS:
+        raise ParameterError(f"mask kind must be one of {MASK_KINDS}, got {kind!r}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         if kind == "uniform":
@@ -147,14 +148,13 @@ class ReservoirState:
     """Carry-over between consecutive input steps.
 
     ``measurements`` holds the previous step's measured node values (the
-    feedback signal), ``last_sine`` the sine of the most recently
-    processed node, and ``filter_value`` the low-pass state used by the
-    ``"full"`` filter mode.
+    feedback signal). ``carry`` links the last node of one step to the
+    first of the next: the last node's sine in the ``"two_term"`` filter
+    mode, the low-pass state in the ``"full"`` mode.
     """
 
     measurements: np.ndarray
-    last_sine: float = 0.0
-    filter_value: float = 0.0
+    carry: float = 0.0
 
     def __post_init__(self) -> None:
         self.measurements = np.asarray(self.measurements, dtype=float)
@@ -198,14 +198,14 @@ def step(
 
     if params.filter_mode == "two_term":
         prev = np.empty_like(sines)
-        prev[0] = state.last_sine
+        prev[0] = state.carry
         prev[1:] = sines[:-1]
         row = params.gain_c * (eps * prev + (1.0 - eps) * sines)
-        carry = state.filter_value
+        carry = float(sines[-1])
     else:
         drive = params.gain_c * (1.0 - eps) * sines
         row = np.empty_like(drive)
-        s = state.filter_value
+        s = state.carry
         for j in range(row.size):
             s = eps * s + drive[j]
             row[j] = s
@@ -214,8 +214,7 @@ def step(
     if params.noise_sigma > 0.0:
         row = row + rng.normal(0.0, params.noise_sigma, row.size)
 
-    new_state = ReservoirState(row, float(sines[-1]), carry)
-    return new_state, row
+    return ReservoirState(row, carry), row
 
 
 def run(

@@ -98,7 +98,7 @@ def test_c02_plain_sine_recovered_when_decoupled():
     assert params.coupling == 0.0
     rng = np.random.default_rng(3)
     mask = generate_mask(7, 5)
-    state = ReservoirState(rng.uniform(-1, 1, 7), last_sine=0.8)
+    state = ReservoirState(rng.uniform(-1, 1, 7), carry=0.8)
     worst = 0.0
     for u in rng.uniform(0, 0.5, 20):
         expected = 1.4 * np.sin(1.0 * mask.weights * u + 0.7 * state.measurements)
@@ -178,8 +178,8 @@ def test_c07_fading_memory():
     mask = generate_mask(35, 11)
     inputs = np.random.default_rng(8).uniform(0, 0.5, 200)
     init = np.random.default_rng(9)
-    a = ReservoirState(init.uniform(-1, 1, 35), last_sine=float(init.uniform(-1, 1)))
-    b = ReservoirState(init.uniform(-1, 1, 35), last_sine=float(init.uniform(-1, 1)))
+    a = ReservoirState(init.uniform(-1, 1, 35), carry=float(init.uniform(-1, 1)))
+    b = ReservoirState(init.uniform(-1, 1, 35), carry=float(init.uniform(-1, 1)))
     start_gap = float(np.max(np.abs(a.measurements - b.measurements)))
     row_a = row_b = None
     for u in inputs:

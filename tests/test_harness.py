@@ -67,6 +67,25 @@ class TestSpecFile:
                       for name in re.findall(r"`(\w+)`", row.split("|")[1])}
         assert documented == {f.name for f in fields(ExperimentSpec)}
 
+    def test_shipped_specs_and_readme_example_validate(self, tmp_path):
+        [example] = re.findall(r"```ini\n(.*?)```",
+                               README.read_text(encoding="utf-8"), re.S)
+        readme_spec = tmp_path / "readme.spec"
+        readme_spec.write_text(example)
+        paths = [*sorted((README.parent / "specs").iterdir()), readme_spec]
+        assert len(paths) > 1
+        for path in paths:
+            parse_spec_file(path)  # parses, then validates
+
+    def test_integral_number_for_int_field(self, tmp_path):
+        path = tmp_path / "exp.spec"
+        path.write_text("schema = 1\nnum_nodes = 35.0\n")
+        num_nodes = parse_spec_file(path).num_nodes
+        assert num_nodes == 35 and type(num_nodes) is int
+        path.write_text("schema = 1\nnum_nodes = 35.5\n")
+        with pytest.raises(SpecError, match="expected an integer"):
+            parse_spec_file(path)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "exp.spec"
         path.write_text("schema = 1\nbogus_knob = 3\n")
@@ -161,6 +180,12 @@ class TestRunExperiment:
         with pytest.raises(SpecError, match="finite"):
             small_spec(**overrides).validate()
 
+    def test_two_held_out_rows_run(self):
+        # 6 training rows: the grid fits on 4 and scores on 2
+        rec = run_experiment(small_spec(train_len=6, lambda_grid=(1e-6, 1e-2),
+                                        replications=1))
+        assert rec.lambda_reps[0] in (1e-6, 1e-2)
+
     def test_block_size_changes_no_result(self, monkeypatch):
         spec = small_spec(replications=5, noise_sigma=0.01)
         together = run_experiment(spec)
@@ -228,6 +253,27 @@ class TestSweep:
         with pytest.raises(SpecError, match="integer"):
             run_sweep(small_spec(), [("num_nodes", [10.5])])
 
+    def test_bool_value_for_int_field(self):
+        with pytest.raises(SpecError, match="integer"):
+            run_sweep(small_spec(), [("num_nodes", [True])])
+
+    def test_duplicate_axis_rejected(self, tmp_path, monkeypatch):
+        TestCli._forbid_compute(monkeypatch)
+        with pytest.raises(SpecError, match="'order'"):
+            run_sweep(small_spec(), [("order", [2]), ("order", [3])],
+                      out_path=tmp_path / "r.tsv")
+
+    def test_failed_point_leaves_finished_rows(self, tmp_path):
+        # at V = 100 the 80-row fit slice of the grid cannot carry lambda = 0
+        spec = small_spec(replications=1, train_len=100,
+                          lambda_grid=(1e-6, 0.0))
+        out = tmp_path / "r.tsv"
+        with pytest.raises(SingularSystemError):
+            run_sweep(spec, [("num_nodes", [20, 100])], out_path=out)
+        assert "# axis: num_nodes = 20,100\n" in out.read_text()
+        [rec] = read_records(out)
+        assert rec.spec_fields["num_nodes"] == 20
+
     def test_axis_text_takes_the_field_type(self, tmp_path):
         records = run_sweep(small_spec(replications=1),
                             [("num_nodes", ["10.0", "12"]), ("alpha", ["0.5"])],
@@ -260,7 +306,7 @@ class TestLambdaGrid:
         spec = small_spec(num_nodes=num_nodes, train_len=train_len)
         ds = gen_narma(NarmaConfig(2, spec.total_len, 5))
         states = run(ds.inputs, generate_mask(num_nodes, 9),
-                     spec.reservoir_params(noise_seed=0), washout=spec.washout)
+                     spec.reservoir_params(), washout=spec.washout)
         return (states[: spec.train_len],
                 ds.targets[spec.washout: spec.washout + spec.train_len])
 
@@ -461,6 +507,33 @@ class TestCli:
         assert main(["run", "--spec", str(path)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, args, word", [
+        (dict(mask_kind="bogus"), ["run"], "mask_kind"),
+        (dict(test_len=1), ["run"], "test_len"),
+        *[(dict(train_len=n, lambda_grid=(1e-6,)), ["run"], "held-out")
+          for n in (2, 3, 4, 5)],
+        ({}, ["sweep", "--axis", "order=2", "--axis", "order=3"], "'order'"),
+        ({}, ["sweep", "--axis", "order="], "no values"),
+    ])
+    def test_spec_error_before_compute(self, tmp_path, monkeypatch, capsys,
+                                       overrides, args, word):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path, **overrides)
+        assert main([args[0], "--spec", str(path), *args[1:]]) == 2
+        assert word in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_empty_out_is_spec_error(self, tmp_path, monkeypatch, capsys,
+                                     command):
+        self._forbid_compute(monkeypatch)
+        empty = tmp_path / "empty_out.spec"
+        write_spec_file(small_spec(out=""), empty)
+        assert "\nout = \n" in empty.read_text()
+        assert main([command, "--spec", str(empty)]) == 2
+        path = self._spec_file(tmp_path)
+        assert main([command, "--spec", str(path), "--out", ""]) == 2
+        assert capsys.readouterr().err.count("results path") == 2
+
     def test_bad_axis_exit_code(self, tmp_path):
         path = self._spec_file(tmp_path)
         assert main(["sweep", "--spec", str(path), "--axis", "flux=1,2"]) == 2
@@ -594,6 +667,13 @@ class TestRecordsFile:
         again = tmp_path / "again.tsv"
         write_records(again, spec, axes, back)
         assert again.read_bytes() == out.read_bytes()
+
+    def test_write_records_streams_any_iterable(self, tmp_path):
+        spec = small_spec(replications=1)
+        rec = run_experiment(spec)
+        out = tmp_path / "res.tsv"
+        assert write_records(out, spec, [], iter([rec])) == [rec]
+        assert [r.spec_hash for r in read_records(out)] == [rec.spec_hash]
 
     def test_read_records_rejects_other_schema(self, tmp_path):
         spec = small_spec(replications=1)

@@ -155,7 +155,7 @@ class TestStep:
         params = ReservoirParams(num_nodes=6, alpha=0.7, beta=1.0, gain_c=1.3,
                                  pulse_period=1e-6, bandwidth_time=1e-9)
         mask = generate_mask(6, 2)
-        state = ReservoirState(np.linspace(-0.5, 0.5, 6), last_sine=0.4)
+        state = ReservoirState(np.linspace(-0.5, 0.5, 6), carry=0.4)
         _, row = step(state, 0.3, mask, params)
         expected = 1.3 * np.sin(1.0 * mask.weights * 0.3 + 0.7 * state.measurements)
         assert np.max(np.abs(row - expected)) <= 1e-15
@@ -370,9 +370,9 @@ class TestFadingMemory:
         inputs = np.random.default_rng(3).uniform(0, 0.5, 200)
         rng = np.random.default_rng(4)
         state_a = ReservoirState(rng.uniform(-1, 1, 20),
-                                 last_sine=float(rng.uniform(-1, 1)))
+                                 carry=float(rng.uniform(-1, 1)))
         state_b = ReservoirState(rng.uniform(-1, 1, 20),
-                                 last_sine=float(rng.uniform(-1, 1)))
+                                 carry=float(rng.uniform(-1, 1)))
         row_a = row_b = None
         for u in inputs:
             state_a, row_a = step(state_a, float(u), mask, params)
