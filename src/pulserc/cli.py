@@ -157,6 +157,8 @@ def _cmd_figure(args) -> int:
         if not args.spec:
             raise SpecError("figure prediction_trace needs --spec")
         spec = parse_spec_file(args.spec)
+        # open --out first, so an unwritable path fails before the run
+        open(args.out, "w", encoding="utf-8").close()
         record = run_experiment(spec)
         emit_figure_data([record], "prediction_trace", args.out)
     print(f"{args.figure} -> {args.out}")

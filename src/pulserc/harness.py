@@ -43,6 +43,12 @@ _DRIVE_BLOCK_BYTES = 8 * 2**20
 
 _TASKS = ("narma", "surrogate", "csv")
 
+# every spec field a generated task's datasets depend on, and the one
+# entry of datasets kept from the previous experiment under that key
+_TASK_FIELDS = ("task", "order", "compat_narma_sum", "standardize", "washout",
+                "train_len", "test_len", "seed", "replications")
+_task_memo: dict[tuple, list[TaskDataset]] = {}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -381,21 +387,39 @@ def _prepare_replications(
 ) -> tuple[list[TaskDataset], list[np.ndarray]]:
     """Every replication's split (and standardized) dataset and mask
     weights. A CSV task does not depend on the task seed, so its file is
-    read once and shared by all replications."""
-    datasets, masks = [], []
+    read once and shared by all replications. A generated task is reused
+    from the previous call when every field it depends on is equal, as for
+    the V = 35 and V = 100 points of one NARMA order."""
+    # a CSV file may change between calls, so only generated tasks are kept
+    key = None if spec.task == "csv" else \
+        tuple(getattr(spec, name) for name in _TASK_FIELDS)
+    datasets = _task_memo.get(key)
+    if datasets is None:
+        _task_memo.clear()  # keeps one entry alive, not two
+        datasets = []
+        for r in range(spec.replications):
+            with _replication(r):
+                datasets.append(
+                    datasets[0] if spec.task == "csv" and datasets else
+                    _split_dataset(spec, derive_seed(spec.seed, r, _STREAM_TASK)))
+        if key is not None:
+            _task_memo[key] = datasets
+    masks = []
     for r in range(spec.replications):
-        try:
-            if spec.task == "csv" and datasets:
-                ds = datasets[0]
-            else:
-                ds = _split_dataset(spec, derive_seed(spec.seed, r, _STREAM_TASK))
+        with _replication(r):
             mask_seed = derive_seed(spec.mask_seed, r, _STREAM_MASK)
-            mask = generate_mask(spec.num_nodes, mask_seed, spec.mask_kind)
-        except PulseRcError as exc:
-            raise type(exc)(f"replication {r}: {exc}") from exc
-        datasets.append(ds)
-        masks.append(mask.weights)
+            masks.append(
+                generate_mask(spec.num_nodes, mask_seed, spec.mask_kind).weights)
     return datasets, masks
+
+
+@contextlib.contextmanager
+def _replication(r: int):
+    """Prefix the replication index to a library error raised inside."""
+    try:
+        yield
+    except PulseRcError as exc:
+        raise type(exc)(f"replication {r}: {exc}") from exc
 
 
 def _run_block(spec, params, datasets, masks, noise_seeds, idx) -> list[dict]:
@@ -407,10 +431,8 @@ def _run_block(spec, params, datasets, masks, noise_seeds, idx) -> list[dict]:
                          [noise_seeds[r] for r in idx], spec.washout)
     reps = []
     for r, rep_states in zip(idx, states):
-        try:
+        with _replication(r):
             reps.append(_fit_replication(spec, datasets[r], rep_states))
-        except PulseRcError as exc:
-            raise type(exc)(f"replication {r}: {exc}") from exc
     return reps
 
 
@@ -446,7 +468,7 @@ def _fit_replication(spec: ExperimentSpec, ds: TaskDataset, states) -> dict:
         "pearson": report.pearson,
         "nrmse": report.nrmse,
         "ridge_lambda": lam,
-        "targets": np.asarray(y_test, dtype=float),
+        "targets": np.array(y_test, dtype=float),  # no view of a kept task
         "predictions": yhat,
         "weights": w.weights,
     }

@@ -36,8 +36,8 @@ from .errors import DimensionError, ParameterError
 _FILTER_MODES = ("two_term", "full")
 MASK_KINDS = ("uniform", "binary")
 
-# steps of detection noise drawn per generator call in the drive kernel;
-# any value gives the same stream, this one keeps the buffer small
+# steps per chunk of the drive kernel, and of detection noise per generator
+# call; any value gives the same output, this one keeps the buffers small
 _NOISE_CHUNK = 64
 
 
@@ -266,54 +266,74 @@ def drive_block(
     operands in ``step``'s order, and noise is drawn for every step, so
     the stream does not depend on the washout. Arguments are trusted;
     :func:`run` checks them.
+
+    The steps run in chunks of ``_NOISE_CHUNK``: the input products and
+    the noise of a chunk are formed in one call each, its rows are written
+    to a chunk buffer and copied past the washout in one slice, and only
+    the feedback-dependent ufuncs run per step.
     """
     g, length = inputs.shape
     v = params.num_nodes
     eps = params.coupling
-    out = np.ones((g, length - washout, v + 1))
+    two_term = params.filter_mode == "two_term"
+    alpha, gain = params.alpha, params.gain_c
+    drive_gain = gain * (1.0 - eps)
+    out = np.empty((g, length - washout, v + 1))
+    out[:, :, v] = 1.0
 
-    input_weights = params.beta * masks
-    phi = np.empty((g, v))
-    feedback = np.empty((g, v))
-    # column 0 holds the previous step's last sine, columns 1.. this step's
-    shifted = np.zeros((g, v + 1))
-    sines = shifted[:, 1:]
-    predecessors = shifted[:, :-1]
-    mixed = np.empty((g, v))
-    washout_row = np.zeros((g, v))
-    carry = np.zeros((g, 1))  # low-pass state of the "full" filter
-    drive_gain = params.gain_c * (1.0 - eps)
+    # The per-step buffers are node-major, (V, G) per step with the G
+    # reservoirs innermost, so every per-step operand is one contiguous
+    # block and a node's predecessor sits one block of G entries earlier.
+    chunk = _NOISE_CHUNK
+    input_weights = (params.beta * masks).T
+    phi = np.empty((chunk, v, g))
+    # a chunk's rows; the last slot starts as the zero state and carries
+    # the previous chunk's last row into the next chunk's first step
+    rows = np.zeros((chunk, v, g))
+    noise = np.zeros((chunk, v, g))
+    feedback = np.empty((v, g))
+    sines = np.empty((v, g))
+    mixed = np.empty((v, g))
+    # eps * sin of a chunk's steps: step j writes nodes [j*V + 1,
+    # (j+1)*V + 1), so its predecessor terms are the adjacent nodes
+    # [j*V, (j+1)*V); node 0 holds the previous chunk's last one
+    ring = np.zeros((chunk * v + 1, g))
+    carry = np.zeros((1, g))  # low-pass state of the "full" filter
 
     sigma = params.noise_sigma
-    if sigma > 0.0:
-        rngs = [np.random.default_rng(seed) for seed in noise_seeds]
-        noise = np.empty((g, _NOISE_CHUNK, v))
+    rngs = [np.random.default_rng(seed) for seed in noise_seeds if sigma > 0.0]
+    views = [(phi[j], rows[j - 1], rows[j], ring[j * v:(j + 1) * v],
+              ring[j * v + 1:(j + 1) * v + 1], noise[j]) for j in range(chunk)]
+    mix_to_row = gain == 1.0  # the gain multiply is exact, so skip it at 1
 
-    row = washout_row  # the zero state: previous measurements
-    for k in range(length):
-        np.multiply(input_weights, inputs[:, k:k + 1], out=phi)
-        np.multiply(params.alpha, row, out=feedback)
-        np.add(phi, feedback, out=phi)
-        np.sin(phi, out=sines)
-
-        row = out[:, k - washout, :v] if k >= washout else washout_row
-        if params.filter_mode == "two_term":
-            np.multiply(eps, predecessors, out=feedback)
-            np.multiply(1.0 - eps, sines, out=mixed)
-            np.add(feedback, mixed, out=mixed)
-            np.multiply(params.gain_c, mixed, out=row)
-            shifted[:, 0] = shifted[:, -1]
-        else:
-            np.multiply(drive_gain, sines, out=mixed)
-            row[...], _ = lfilter([1.0], [1.0, -eps], mixed, axis=1,
-                                  zi=eps * carry)
-            carry[:, 0] = row[:, -1]
-
-        if sigma > 0.0:
-            j = k % _NOISE_CHUNK
-            if j == 0:
-                steps = min(_NOISE_CHUNK, length - k)
-                for r, rng in enumerate(rngs):
-                    noise[r, :steps] = rng.normal(0.0, sigma, (steps, v))
-            np.add(row, noise[:, j], out=row)
+    for k0 in range(0, length, chunk):
+        steps = min(chunk, length - k0)
+        np.multiply(input_weights, inputs[:, k0:k0 + steps].T[:, None, :],
+                    out=phi[:steps])
+        for r, rng in enumerate(rngs):
+            noise[:steps, :, r] = rng.normal(0.0, sigma, (steps, v))
+        for phi_j, prev, row, predecessors, eps_sines, noise_j in views[:steps]:
+            np.multiply(alpha, prev, out=feedback)
+            np.add(phi_j, feedback, out=phi_j)
+            np.sin(phi_j, out=sines)
+            if two_term:
+                np.multiply(eps, sines, out=eps_sines)
+                np.multiply(1.0 - eps, sines, out=mixed)
+                if mix_to_row:
+                    np.add(predecessors, mixed, out=row)
+                else:
+                    np.add(predecessors, mixed, out=mixed)
+                    np.multiply(gain, mixed, out=row)
+            else:
+                np.multiply(drive_gain, sines, out=mixed)
+                row[...], _ = lfilter([1.0], [1.0, -eps], mixed, axis=0,
+                                      zi=eps * carry)
+                carry[0] = row[-1]
+            if rngs:
+                np.add(row, noise_j, out=row)
+        ring[0] = ring[-1]
+        first = max(k0, washout)
+        if first < k0 + steps:
+            out[:, first - washout:k0 + steps - washout, :v] = \
+                rows[first - k0:steps].transpose(2, 0, 1)
     return out

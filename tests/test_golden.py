@@ -4,8 +4,11 @@ The files in ``tests/golden/`` were written by the sweeps below while
 every lambda grid point still formed its own ridge Gram and NARMA windows
 of 8 or more terms were summed by NumPy; the drive then in place gave the
 same bytes as the per-sample ``step()`` drive. They cover detection
-noise, a lambda grid, a standardized CSV task, V = 7, 35 and 100, and
-NARMA orders 2 and 10 (NumPy's left-to-right and pairwise sums).
+noise, a lambda grid, a standardized CSV task, V = 7, 35 and 100,
+NARMA orders 2 and 10 (NumPy's left-to-right and pairwise sums), and
+the surrogate task with a washout of 70 samples at gain_c 1 and 1.7.
+The surrogate file was written by the drive that still advanced one
+step at a time, before it was split into 64-step chunks.
 
 BLAS splits a matrix product differently with each thread count, which
 moves the last digits of the ridge fits, so the sweeps run in a child
@@ -27,7 +30,7 @@ import pulserc
 from pulserc import ExperimentSpec, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_FILES = ("narma_sweep.tsv", "csv_sweep.tsv")
+GOLDEN_FILES = ("narma_sweep.tsv", "csv_sweep.tsv", "surrogate_sweep.tsv")
 CSV_NAME = "series.csv"
 
 _COMMON = dict(washout=20, train_len=300, test_len=100, replications=3,
@@ -55,6 +58,11 @@ def write_sweeps(directory) -> None:
     run_sweep(narma, [("order", [2, 10]), ("num_nodes", [7, 35, 100]),
                       ("noise_sigma", [0.0, 0.01])],
               out_path=directory / "narma_sweep.tsv")
+    # a washout that ends inside the drive's second 64-step chunk, and a
+    # gain other than 1
+    surrogate = ExperimentSpec(task="surrogate", **{**_COMMON, "washout": 70})
+    run_sweep(surrogate, [("num_nodes", [7, 35]), ("gain_c", [1.0, 1.7])],
+              out_path=directory / "surrogate_sweep.tsv")
     cwd = os.getcwd()
     os.chdir(directory)
     try:

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from pulserc import (
     write_records,
     write_spec_file,
 )
+import pulserc.cli as cli
 import pulserc.harness as harness
 from pulserc.cli import main
 
@@ -228,6 +229,90 @@ class TestRunExperiment:
         with pytest.raises(SpecError, match="replication 0"):
             run_experiment(small_spec(task="csv", csv_input=str(u),
                                       csv_target=str(y)))
+
+
+def same_records(a: ResultRecord, b: ResultRecord) -> bool:
+    """Every deterministic field of two records is equal."""
+    return (a.spec_hash == b.spec_hash and a.pearson_reps == b.pearson_reps
+            and a.nrmse_reps == b.nrmse_reps and a.lambda_reps == b.lambda_reps
+            and np.array_equal(a.trace_targets, b.trace_targets)
+            and np.array_equal(a.trace_predictions, b.trace_predictions)
+            and np.array_equal(a.readout_first, b.readout_first))
+
+
+# one value per task-defining field, each different from small_spec's
+_TASK_FIELD_CHANGES = dict(order=3, compat_narma_sum=True, standardize=True,
+                           washout=30, train_len=210, test_len=90, seed=8,
+                           replications=3)
+
+
+class TestTaskMemo:
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        harness._task_memo.clear()
+        yield
+        harness._task_memo.clear()
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_equal_tasks_drawn_once(self, monkeypatch):
+        calls = self._count(monkeypatch, "gen_narma")
+        records = run_sweep(small_spec(replications=2),
+                            [("order", [2, 3]), ("num_nodes", [7, 12])])
+        assert len(records) == 4
+        # V changes inside each order, so each order's two series are drawn
+        # for its first point and reused for its second
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("task", ["narma", "surrogate"])
+    @pytest.mark.parametrize("field", ["task", *_TASK_FIELD_CHANGES])
+    def test_key_is_complete(self, task, field):
+        first = small_spec(task=task)
+        other_task = "surrogate" if task == "narma" else "narma"
+        second = replace(first, **{field: _TASK_FIELD_CHANGES.get(field, other_task)})
+        # the two points one after the other, as a sweep runs them
+        swept = [run_experiment(first), run_experiment(second)]
+        fresh = []
+        for spec in (first, second):
+            harness._task_memo.clear()
+            fresh.append(run_experiment(spec))
+        assert all(map(same_records, swept, fresh))
+
+    def test_csv_read_again_after_rewrite(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+
+        def write():
+            data.write_text("u,y\n" + "".join(
+                f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
+
+        calls = self._count(monkeypatch, "load_csv_task")
+        spec = small_spec(task="csv", csv_input=str(data), csv_target="column:y")
+        write()
+        before = run_experiment(spec)
+        write()
+        after = run_experiment(spec)
+        assert len(calls) == 2
+        y = np.loadtxt(data, delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(after.trace_targets, y[spec.washout + spec.train_len:
+                                                     spec.total_len])
+        assert not np.array_equal(before.trace_targets, after.trace_targets)
+
+    def test_trace_targets_do_not_alias_the_memo(self):
+        spec = small_spec()
+        first = run_experiment(spec)
+        want = first.trace_targets.copy()
+        first.trace_targets += 1.0
+        again = run_experiment(spec)
+        assert np.array_equal(again.trace_targets, want)
+        harness._task_memo.clear()
+        assert same_records(again, run_experiment(spec))
 
 
 class TestSweep:
@@ -613,6 +698,18 @@ class TestCli:
         lines = fig_out.read_text().strip().split("\n")
         assert lines[0] == "step\ttarget\tprediction"
         assert len(lines) == 81
+
+    def test_figure_trace_opens_out_before_the_run(self, tmp_path,
+                                                   monkeypatch):
+        calls = []
+        real = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda spec: calls.append(spec) or real(spec))
+        path = self._spec_file(tmp_path)
+        assert main(["figure", "--figure", "prediction_trace",
+                     "--spec", str(path),
+                     "--out", str(tmp_path / "no_dir" / "t.tsv")]) == 3
+        assert calls == []
 
     def test_figure_requires_matching_input(self, tmp_path):
         assert main(["figure", "--figure", "pearson_vs_N",

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from pulserc import (
     step,
     zero_state,
 )
+import pulserc.reservoir as reservoir
 from pulserc.reservoir import drive_block
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def reference_node_values(inputs, mask, alpha, beta, c, pulse_period, bandwidth_time):
@@ -314,24 +318,37 @@ def step_loop(inputs, masks, params, seeds, washout):
     return np.array(out)
 
 
+# (washout, length, gain_c): lengths below and above one 64-step chunk, a
+# washout that ends inside the second chunk, and the gain of 1 whose
+# multiply the kernel skips; the L = 40, gain_c = 1.7 cases keep their
+# washout-only ids
+_DRIVE_CASES = [
+    pytest.param(washout, length, gain_c,
+                 id=str(washout) if (length, gain_c) == (40, 1.7)
+                 else f"{washout}-L{length}-c{gain_c}")
+    for length in (40, 150) for washout in (0, 7, 70) if washout < length
+    for gain_c in (1.0, 1.7)
+]
+
+
 class TestDriveBlock:
     @pytest.mark.parametrize("g", [1, 3])
     @pytest.mark.parametrize("v", [1, 2, 35])
     @pytest.mark.parametrize("filter_mode", ["two_term", "full"])
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
-    @pytest.mark.parametrize("washout", [0, 7])
+    @pytest.mark.parametrize("washout,length,gain_c", _DRIVE_CASES)
     def test_bitwise_equal_to_step_loop(self, g, v, filter_mode, noise_sigma,
-                                        washout):
+                                        washout, length, gain_c):
         rng = np.random.default_rng(1000 * g + v)
-        params = ReservoirParams(num_nodes=v, alpha=0.8, beta=1.2, gain_c=1.7,
-                                 noise_sigma=noise_sigma,
+        params = ReservoirParams(num_nodes=v, alpha=0.8, beta=1.2,
+                                 gain_c=gain_c, noise_sigma=noise_sigma,
                                  filter_mode=filter_mode)
-        inputs = rng.uniform(-1.0, 1.0, (g, 40))
+        inputs = rng.uniform(-1.0, 1.0, (g, length))
         masks = np.array([generate_mask(v, 10 + i).weights for i in range(g)])
         seeds = [int(s) for s in rng.integers(0, 2**32, g)]
         got = drive_block(inputs, masks, params, seeds, washout)
         want = step_loop(inputs, masks, params, seeds, washout)
-        assert got.shape == (g, 40 - washout, v + 1)
+        assert got.shape == (g, length - washout, v + 1)
         assert np.array_equal(got, want)
 
     def test_noise_stream_spans_chunks(self):
@@ -378,3 +395,16 @@ class TestFadingMemory:
             state_a, row_a = step(state_a, float(u), mask, params)
             state_b, row_b = step(state_b, float(u), mask, params)
         assert np.max(np.abs(row_a - row_b)) < 1e-9
+
+
+def equation_lines(text: str) -> list[str]:
+    """The update equations' lines of a text, stripped of indentation."""
+    return [line.strip() for line in text.splitlines()
+            if line.strip().startswith(("phi[k, j] =", "M[k, j] ="))]
+
+
+def test_readme_equations_match_module_docstring():
+    # the update equations are written twice; neither copy may drift
+    readme = equation_lines(README.read_text(encoding="utf-8"))
+    assert [line.split(" =")[0] for line in readme] == ["phi[k, j]", "M[k, j]"]
+    assert readme == equation_lines(reservoir.__doc__)
