@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import PulseRcError, SpecError
+from .errors import ParameterError, PulseRcError, SpecError
 from .harness import (
     ExperimentSpec,
     emit_figure_data,
@@ -136,8 +136,11 @@ def _parse_axis(text: str) -> tuple[str, list[str]]:
 
 
 def _cmd_narma_gen(args) -> int:
-    cfg = NarmaConfig(order=args.order, length=args.length, seed=args.seed,
-                      input_low=args.low, input_high=args.high)
+    try:
+        cfg = NarmaConfig(order=args.order, length=args.length, seed=args.seed,
+                          input_low=args.low, input_high=args.high)
+    except ParameterError as exc:
+        raise SpecError(str(exc)) from exc
     ds = gen_narma(cfg, compat_sum=args.compat_narma_sum)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# NARMA-{cfg.order} length={cfg.length} seed={cfg.seed}\n")

@@ -14,6 +14,7 @@ so reruns are byte-identical; :func:`read_records` reads one back.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -42,12 +43,6 @@ _STREAM_MASK = 2
 _DRIVE_BLOCK_BYTES = 8 * 2**20
 
 _TASKS = ("narma", "surrogate", "csv")
-
-# every spec field a generated task's datasets depend on, and the one
-# entry of datasets kept from the previous experiment under that key
-_TASK_FIELDS = ("task", "order", "compat_narma_sum", "standardize", "washout",
-                "train_len", "test_len", "seed", "replications")
-_task_memo: dict[tuple, list[TaskDataset]] = {}
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,10 @@ class ExperimentSpec:
     replications: int = 10
     seed: int = 42
     out: str = "results.tsv"
+
+    def __post_init__(self) -> None:
+        # a list grid would be written, hashed and read back as a list
+        object.__setattr__(self, "lambda_grid", tuple(self.lambda_grid))
 
     def validate(self) -> None:
         """Raise SpecError on anything inconsistent, before any run."""
@@ -338,8 +337,9 @@ def parse_spec_file(path) -> ExperimentSpec:
 
 
 def write_spec_file(spec: ExperimentSpec, path) -> None:
-    """Inverse of :func:`parse_spec_file`."""
-    lines = [f"{f.name} = {_fmt_value(getattr(spec, f.name))}"
+    """Inverse of :func:`parse_spec_file`: floats are written in full, so
+    every value reads back exactly."""
+    lines = [f"{f.name} = {_fmt_value(getattr(spec, f.name), exact=True)}"
              for f in fields(spec)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -367,13 +367,15 @@ def _parse_value(kind: type, text: str):
     return kind(text)
 
 
-def _fmt_value(v) -> str:
+def _fmt_value(v, exact: bool = False) -> str:
+    """``v`` as text; floats to 12 significant digits, or in full (their
+    shortest exact form) if ``exact``."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format(v, ".12g")
+        return repr(float(v)) if exact else format(v, ".12g")
     if isinstance(v, tuple):
-        return ",".join(format(x, ".12g") for x in v)
+        return ",".join(_fmt_value(float(x), exact) for x in v)
     if isinstance(v, list):
         return ";".join(_fmt_value(x) for x in v)
     return str(v)
@@ -385,25 +387,26 @@ def _fmt_value(v) -> str:
 def _prepare_replications(
     spec: ExperimentSpec,
 ) -> tuple[list[TaskDataset], list[np.ndarray]]:
-    """Every replication's split (and standardized) dataset and mask
-    weights. A CSV task does not depend on the task seed, so its file is
-    read once and shared by all replications. A generated task is reused
-    from the previous call when every field it depends on is equal, as for
-    the V = 35 and V = 100 points of one NARMA order."""
-    # a CSV file may change between calls, so only generated tasks are kept
-    key = None if spec.task == "csv" else \
-        tuple(getattr(spec, name) for name in _TASK_FIELDS)
-    datasets = _task_memo.get(key)
-    if datasets is None:
-        _task_memo.clear()  # keeps one entry alive, not two
-        datasets = []
-        for r in range(spec.replications):
-            with _replication(r):
-                datasets.append(
-                    datasets[0] if spec.task == "csv" and datasets else
-                    _split_dataset(spec, derive_seed(spec.seed, r, _STREAM_TASK)))
-        if key is not None:
-            _task_memo[key] = datasets
+    """Every replication's (standardized) dataset and mask weights. A CSV
+    task does not depend on the task seed, so its file is read once and
+    shared by all replications; it may change between calls, so it is
+    never kept. Generated series come from :func:`_generated_tasks`."""
+    if spec.task == "csv":
+        series = (load_csv_task(spec.csv_input, spec.csv_target),)
+    else:
+        series = _generated_tasks(spec.task, spec.order, spec.compat_narma_sum,
+                                  spec.total_len, spec.seed, spec.replications)
+    datasets = []
+    for r, ds in enumerate(series):
+        with _replication(r):
+            if ds.length < spec.total_len:
+                raise SpecError(
+                    f"task {ds.name!r} provides {ds.length} samples but "
+                    f"washout+train+test needs {spec.total_len}")
+            datasets.append(standardize(ds, spec.washout + spec.train_len)
+                            if spec.standardize else ds)
+    if spec.task == "csv":
+        datasets *= spec.replications
     masks = []
     for r in range(spec.replications):
         with _replication(r):
@@ -411,6 +414,24 @@ def _prepare_replications(
             masks.append(
                 generate_mask(spec.num_nodes, mask_seed, spec.mask_kind).weights)
     return datasets, masks
+
+
+@functools.lru_cache(maxsize=1)
+def _generated_tasks(task: str, order: int, compat_sum: bool, length: int,
+                     seed: int, replications: int) -> tuple[TaskDataset, ...]:
+    """Every replication's generated (NARMA or surrogate) series. The last
+    call's series are kept, so the experiments of a run of equal points,
+    such as the V = 35 and V = 100 points of one NARMA order, share them."""
+    series = []
+    for r in range(replications):
+        task_seed = derive_seed(seed, r, _STREAM_TASK)
+        with _replication(r):
+            if task == "narma":
+                series.append(gen_narma(NarmaConfig(order, length, task_seed),
+                                        compat_sum=compat_sum))
+            else:
+                series.append(gen_surrogate_laser(max(100, length), task_seed))
+    return tuple(series)
 
 
 @contextlib.contextmanager
@@ -436,19 +457,6 @@ def _run_block(spec, params, datasets, masks, noise_seeds, idx) -> list[dict]:
     return reps
 
 
-def _split_dataset(spec: ExperimentSpec, task_seed: int) -> TaskDataset:
-    ds = _build_dataset(spec, task_seed)
-    needed = spec.total_len
-    if ds.length < needed:
-        raise SpecError(
-            f"task {ds.name!r} provides {ds.length} samples but "
-            f"washout+train+test needs {needed}")
-    ds = ds.with_split(spec.washout + spec.train_len, spec.test_len)
-    if spec.standardize:
-        ds = standardize(ds)
-    return ds
-
-
 def _fit_replication(spec: ExperimentSpec, ds: TaskDataset, states) -> dict:
     """Ridge readout of one replication's state matrix, scored on its
     test region."""
@@ -472,15 +480,6 @@ def _fit_replication(spec: ExperimentSpec, ds: TaskDataset, states) -> dict:
         "predictions": yhat,
         "weights": w.weights,
     }
-
-
-def _build_dataset(spec: ExperimentSpec, task_seed: int) -> TaskDataset:
-    if spec.task == "narma":
-        cfg = NarmaConfig(spec.order, spec.total_len, task_seed)
-        return gen_narma(cfg, compat_sum=spec.compat_narma_sum)
-    if spec.task == "surrogate":
-        return gen_surrogate_laser(max(100, spec.total_len), task_seed)
-    return load_csv_task(spec.csv_input, spec.csv_target)
 
 
 def _grid_fits(r_train, y_train, grid) -> list[tuple[ReadoutWeights, float]]:

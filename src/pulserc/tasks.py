@@ -42,19 +42,16 @@ _MEASUREMENT_SIGMA = 0.02    # additive noise on the target
 
 @dataclass(frozen=True)
 class TaskDataset:
-    """Paired input/target series with a train/test split point.
+    """Paired input/target series of equal length.
 
-    ``inputs[:train_len]`` is the training region (any washout included),
-    the ``test_len`` samples after it the test region. ``meta`` carries
-    provenance such as file paths or transform constants.
+    How a series splits into washout, training and test regions is the
+    experiment's choice, not the task's. ``meta`` carries provenance such
+    as file paths, the NARMA seed actually used, or transform constants.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    train_len: int
-    test_len: int
     name: str
-    seed: int | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -69,20 +66,10 @@ class TaskDataset:
                 f"inputs ({u.size}) and targets ({y.size}) must have equal length")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise ParameterError("dataset values must be finite")
-        if self.train_len < 1 or self.test_len < 1:
-            raise ParameterError("both splits must be non-empty")
-        if self.train_len + self.test_len > u.size:
-            raise ParameterError(
-                f"train_len + test_len = {self.train_len + self.test_len} "
-                f"exceeds series length {u.size}")
 
     @property
     def length(self) -> int:
         return int(self.inputs.size)
-
-    def with_split(self, train_len: int, test_len: int) -> "TaskDataset":
-        """Same data, different split point."""
-        return replace(self, train_len=train_len, test_len=test_len)
 
 
 @dataclass(frozen=True)
@@ -130,10 +117,8 @@ def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
         u = rng.uniform(cfg.input_low, cfg.input_high, cfg.length)
         y = _narma_outputs(u, n, n_terms)
         if y is not None:
-            train_len = max(1, min(cfg.length - 1, int(0.8 * cfg.length)))
             return TaskDataset(
-                u, y, train_len, cfg.length - train_len,
-                name=f"narma{n}", seed=cfg.seed,
+                u, y, name=f"narma{n}",
                 meta={"effective_seed": seed, "compat_sum": compat_sum})
     raise DivergenceError(
         f"NARMA-{n} diverged for every seed in "
@@ -187,18 +172,15 @@ def _pairwise_sum(w: list[float]) -> float:
     return res
 
 
-def load_csv_task(input_path, target, train_fraction: float = 0.8) -> TaskDataset:
-    """Load a paired regression task from numeric text files.
+def load_csv_task(input_path, target) -> TaskDataset:
+    """Load a paired regression task of at least 10 rows from numeric text
+    files.
 
     ``input_path`` names a file whose first column is the input series.
     ``target`` is either the path of a second file (first column used) or
     ``"column:NAME"`` to take the named column from the input file, which
-    must then have a header. ``train_len`` is
-    ``floor(train_fraction * L)``.
+    must then have a header.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError(
-            f"train_fraction must be in (0, 1), got {train_fraction!r}")
     in_names, in_cols = _read_table(input_path)
 
     if isinstance(target, str) and target.startswith("column:"):
@@ -229,13 +211,8 @@ def load_csv_task(input_path, target, train_fraction: float = 0.8) -> TaskDatase
     if u.size < 10:
         raise CsvParseError(
             f"{input_path}: need at least 10 rows, got {u.size}")
-    train_len = int(train_fraction * u.size)
-    if train_len < 1 or u.size - train_len < 1:
-        raise ParameterError(
-            f"train_fraction {train_fraction} leaves an empty split for "
-            f"{u.size} rows")
     name = f"csv:{os.path.basename(str(input_path))}->{target_desc}"
-    return TaskDataset(u, y, train_len, u.size - train_len, name=name,
+    return TaskDataset(u, y, name=name,
                        meta={"input_path": str(input_path), "target": str(target)})
 
 
@@ -260,22 +237,25 @@ def gen_surrogate_laser(length: int, seed: int) -> TaskDataset:
     lin = np.convolve(x, _RESPONSE_TAPS)[:length]
     y = np.tanh(_SATURATION * lin) / _SATURATION \
         + _MEASUREMENT_SIGMA * rng.standard_normal(length)
-    train_len = int(0.8 * length)
     return TaskDataset(
-        x, y, train_len, length - train_len, name="surrogate-laser", seed=seed,
+        x, y, name="surrogate-laser",
         meta={"ar_pole": pole, "input_scale": _PUMP_SCALE,
               "response_taps": _RESPONSE_TAPS, "saturation": _SATURATION,
               "measurement_sigma": _MEASUREMENT_SIGMA})
 
 
-def standardize(ds: TaskDataset) -> TaskDataset:
+def standardize(ds: TaskDataset, train_len: int) -> TaskDataset:
     """Map inputs to zero mean and unit variance.
 
-    The statistics come from the training region only, so nothing about
-    the test region can leak into training. Targets are untouched; the
-    shift and scale are recorded in ``meta``.
+    The statistics come from the training region ``inputs[:train_len]``
+    (any washout included) only, so nothing after it can leak into
+    training. Targets are untouched; the shift and scale are recorded in
+    ``meta``.
     """
-    train = ds.inputs[: ds.train_len]
+    if not 1 <= train_len <= ds.length:
+        raise ParameterError(
+            f"train_len must be in [1, {ds.length}], got {train_len}")
+    train = ds.inputs[:train_len]
     mu = float(train.mean())
     sd = float(train.std())
     if sd == 0.0:

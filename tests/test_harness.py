@@ -60,6 +60,25 @@ class TestSpecFile:
         write_spec_file(spec, path)
         assert parse_spec_file(path) == spec
 
+    def test_roundtrip_keeps_every_float_digit(self, tmp_path):
+        spec = ExperimentSpec(alpha=0.1234567890123,
+                              lambda_grid=(1e-6, 0.1234567890123))
+        path = tmp_path / "exp.spec"
+        write_spec_file(spec, path)
+        assert parse_spec_file(path) == spec
+
+    def test_list_lambda_grid_is_a_tuple(self, tmp_path):
+        as_list = small_spec(replications=1, lambda_grid=[1e-6, 1e-2])
+        as_tuple = small_spec(replications=1, lambda_grid=(1e-6, 1e-2))
+        assert as_list == as_tuple
+        assert as_list.spec_hash() == as_tuple.spec_hash()
+        for name, spec in (("list.tsv", as_list), ("tuple.tsv", as_tuple)):
+            run_sweep(spec, [], out_path=tmp_path / name)
+        assert (tmp_path / "list.tsv").read_bytes() == \
+            (tmp_path / "tuple.tsv").read_bytes()
+        [rec] = read_records(tmp_path / "list.tsv")
+        assert rec.spec_fields["lambda_grid"] == (1e-6, 1e-2)
+
     def test_readme_documents_every_field(self):
         text = README.read_text(encoding="utf-8")
         table = text[text.index("| key | default | meaning |"):].splitlines()
@@ -249,9 +268,9 @@ _TASK_FIELD_CHANGES = dict(order=3, compat_narma_sum=True, standardize=True,
 class TestTaskMemo:
     @pytest.fixture(autouse=True)
     def _empty_memo(self):
-        harness._task_memo.clear()
+        harness._generated_tasks.cache_clear()
         yield
-        harness._task_memo.clear()
+        harness._generated_tasks.cache_clear()
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -269,6 +288,11 @@ class TestTaskMemo:
         # V changes inside each order, so each order's two series are drawn
         # for its first point and reused for its second
         assert len(calls) == 4
+        # standardization runs per experiment, on the kept series
+        calls.clear()
+        for flag in (False, True):
+            run_experiment(small_spec(replications=2, standardize=flag))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("task", ["narma", "surrogate"])
     @pytest.mark.parametrize("field", ["task", *_TASK_FIELD_CHANGES])
@@ -280,7 +304,7 @@ class TestTaskMemo:
         swept = [run_experiment(first), run_experiment(second)]
         fresh = []
         for spec in (first, second):
-            harness._task_memo.clear()
+            harness._generated_tasks.cache_clear()
             fresh.append(run_experiment(spec))
         assert all(map(same_records, swept, fresh))
 
@@ -311,7 +335,7 @@ class TestTaskMemo:
         first.trace_targets += 1.0
         again = run_experiment(spec)
         assert np.array_equal(again.trace_targets, want)
-        harness._task_memo.clear()
+        harness._generated_tasks.cache_clear()
         assert same_records(again, run_experiment(spec))
 
 
@@ -632,6 +656,14 @@ class TestCli:
         want = gen_narma(NarmaConfig(order=2, length=500, seed=11))
         assert np.array_equal(ds.inputs, want.inputs)
         assert np.array_equal(ds.targets, want.targets)
+
+    @pytest.mark.parametrize("args", [
+        ["--order", "0"], ["--low", "1", "--high", "0"],
+        ["--length", "2", "--order", "2"], ["--seed", "-1"]])
+    def test_narma_gen_bad_argument_is_spec_error(self, tmp_path, args):
+        out = tmp_path / "narma.csv"
+        assert main(["narma-gen", *args, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_narma_gen_compat_flag(self, tmp_path):
         plain = tmp_path / "plain.csv"

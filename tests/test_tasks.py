@@ -150,9 +150,10 @@ class TestGenNarma:
             gen_narma(cfg)
 
     def test_split_defaults(self):
+        # a task is a plain series; the experiment decides its split
         ds = gen_narma(NarmaConfig(order=2, length=100, seed=3))
-        assert ds.train_len == 80 and ds.test_len == 20
-        assert ds.name == "narma2"
+        assert ds.length == 100 and ds.name == "narma2"
+        assert not hasattr(ds, "train_len")
 
 
 class TestLoadCsv:
@@ -166,16 +167,9 @@ class TestLoadCsv:
     def test_two_files_split(self, tmp_path):
         self._write(tmp_path / "u.csv", range(10))
         self._write(tmp_path / "y.csv", range(10, 20))
-        ds = load_csv_task(tmp_path / "u.csv", tmp_path / "y.csv", 0.8)
-        assert ds.train_len == 8 and ds.test_len == 2
+        ds = load_csv_task(tmp_path / "u.csv", tmp_path / "y.csv")
         assert np.array_equal(ds.inputs, np.arange(10.0))
         assert np.array_equal(ds.targets, np.arange(10.0, 20.0))
-
-    def test_large_file_split(self, tmp_path):
-        self._write(tmp_path / "u.csv", np.linspace(0, 1, 10000))
-        self._write(tmp_path / "y.csv", np.linspace(1, 2, 10000))
-        ds = load_csv_task(tmp_path / "u.csv", tmp_path / "y.csv", 0.8)
-        assert ds.train_len == 8000 and ds.test_len == 2000
 
     def test_length_mismatch_names_both(self, tmp_path):
         self._write(tmp_path / "u.csv", range(11))
@@ -207,12 +201,6 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="at least 10"):
             load_csv_task(tmp_path / "u.csv", tmp_path / "y.csv")
 
-    def test_bad_fraction(self, tmp_path):
-        self._write(tmp_path / "u.csv", range(10))
-        self._write(tmp_path / "y.csv", range(10))
-        with pytest.raises(ParameterError):
-            load_csv_task(tmp_path / "u.csv", tmp_path / "y.csv", 1.0)
-
 
 class TestSurrogate:
     def test_deterministic(self):
@@ -239,48 +227,57 @@ class TestSurrogate:
 
 
 class TestStandardize:
-    def _dataset(self, inputs, train_len=60):
+    def _dataset(self, inputs):
         inputs = np.asarray(inputs, float)
-        return TaskDataset(inputs, np.sin(inputs), train_len,
-                           inputs.size - train_len, name="toy")
+        return TaskDataset(inputs, np.sin(inputs), name="toy")
 
     def test_training_region_stats(self):
         rng = np.random.default_rng(10)
-        ds = standardize(self._dataset(3.0 + 2.0 * rng.standard_normal(100)))
+        ds = standardize(self._dataset(3.0 + 2.0 * rng.standard_normal(100)), 60)
         train = ds.inputs[:60]
         assert abs(train.mean()) <= 1e-12
         assert train.std() == pytest.approx(1.0, abs=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
-        once = standardize(self._dataset(rng.standard_normal(100)))
-        twice = standardize(once)
+        once = standardize(self._dataset(rng.standard_normal(100)), 60)
+        twice = standardize(once, 60)
         assert np.max(np.abs(once.inputs - twice.inputs)) <= 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         base = rng.standard_normal(100)
-        a = standardize(self._dataset(base))
-        b = standardize(self._dataset(base + 17.0))
+        a = standardize(self._dataset(base), 60)
+        b = standardize(self._dataset(base + 17.0), 60)
         assert np.max(np.abs(a.inputs - b.inputs)) <= 1e-9
 
     def test_targets_untouched(self):
         rng = np.random.default_rng(13)
         ds = self._dataset(rng.standard_normal(100))
-        assert np.array_equal(standardize(ds).targets, ds.targets)
+        assert np.array_equal(standardize(ds, 60).targets, ds.targets)
 
     def test_constant_input_rejected(self):
-        ds = TaskDataset(np.full(100, 2.0), np.arange(100.0), 60, 40, name="flat")
+        ds = TaskDataset(np.full(100, 2.0), np.arange(100.0), name="flat")
         with pytest.raises(DegenerateVarianceError):
-            standardize(ds)
+            standardize(ds, 60)
+
+    @pytest.mark.parametrize("train_len", [0, 101])
+    def test_train_len_outside_series_rejected(self, train_len):
+        ds = self._dataset(np.arange(100.0))
+        with pytest.raises(ParameterError, match="train_len"):
+            standardize(ds, train_len)
+
+    def test_whole_series_as_training_region(self):
+        ds = standardize(self._dataset(np.arange(100.0)), 100)
+        assert abs(ds.inputs.mean()) <= 1e-12
 
     def test_test_region_cannot_leak(self):
         rng = np.random.default_rng(14)
         base = rng.standard_normal(100)
         poisoned = base.copy()
         poisoned[60:] = 1e6  # sentinel values in the test region
-        a = standardize(self._dataset(base))
-        b = standardize(self._dataset(poisoned))
+        a = standardize(self._dataset(base), 60)
+        b = standardize(self._dataset(poisoned), 60)
         assert np.array_equal(a.inputs[:60], b.inputs[:60])
         assert a.meta["standardize_shift"] == b.meta["standardize_shift"]
         assert a.meta["standardize_scale"] == b.meta["standardize_scale"]
@@ -288,19 +285,13 @@ class TestStandardize:
 
 class TestTaskDataset:
     def test_split_invariants(self):
-        with pytest.raises(ParameterError):
-            TaskDataset(np.zeros(10), np.zeros(10), 9, 2, name="bad")
-        with pytest.raises(ParameterError):
-            TaskDataset(np.zeros(10), np.zeros(10), 0, 2, name="bad")
-        with pytest.raises(ParameterError):
-            TaskDataset(np.zeros(10), np.zeros(9), 5, 2, name="bad")
-
-    def test_with_split(self):
-        ds = TaskDataset(np.arange(10.0), np.arange(10.0), 8, 2, name="t")
-        assert ds.with_split(5, 5).train_len == 5
+        with pytest.raises(ParameterError, match="equal length"):
+            TaskDataset(np.zeros(10), np.zeros(9), name="bad")
+        with pytest.raises(ParameterError, match="1-d"):
+            TaskDataset(np.zeros((2, 5)), np.zeros((2, 5)), name="bad")
 
     def test_non_finite_rejected(self):
         bad = np.arange(10.0)
         bad[3] = np.inf
         with pytest.raises(ParameterError):
-            TaskDataset(bad, np.arange(10.0), 8, 2, name="bad")
+            TaskDataset(bad, np.arange(10.0), name="bad")
