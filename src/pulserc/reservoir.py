@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionError, ParameterError
 
@@ -276,6 +275,9 @@ def drive_block(
     v = params.num_nodes
     eps = params.coupling
     two_term = params.filter_mode == "two_term"
+    if not two_term:
+        # imported on first use: it loads slower than the whole package
+        from scipy.signal import lfilter
     alpha, gain = params.alpha, params.gain_c
     drive_gain = gain * (1.0 - eps)
     out = np.empty((g, length - washout, v + 1))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     CsvParseError,
@@ -93,6 +92,10 @@ class NarmaConfig:
         if not self.input_low < self.input_high:
             raise ParameterError(
                 f"input_low must be < input_high, got [{self.input_low}, {self.input_high}]")
+        # a finite width implies finite ends; rng.uniform needs both
+        if not math.isfinite(self.input_high - self.input_low):
+            raise ParameterError(
+                f"input range must be finite, got [{self.input_low}, {self.input_high}]")
 
 
 def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
@@ -233,7 +236,15 @@ def gen_surrogate_laser(length: int, seed: int) -> TaskDataset:
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(length)
     pole = _PUMP_AR_POLE
-    x = _PUMP_SCALE * lfilter([math.sqrt(1.0 - pole * pole)], [1.0, -pole], white)
+    b0 = math.sqrt(1.0 - pole * pole)
+    # the AR(1) filter on plain floats, bitwise equal to
+    # lfilter([b0], [1, -pole], white)
+    ar = []
+    a = 0.0
+    for w in white.tolist():
+        a = b0 * w + pole * a
+        ar.append(a)
+    x = _PUMP_SCALE * np.array(ar)
     lin = np.convolve(x, _RESPONSE_TAPS)[:length]
     y = np.tanh(_SATURATION * lin) / _SATURATION \
         + _MEASUREMENT_SIGMA * rng.standard_normal(length)

@@ -659,7 +659,9 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [
         ["--order", "0"], ["--low", "1", "--high", "0"],
-        ["--length", "2", "--order", "2"], ["--seed", "-1"]])
+        ["--length", "2", "--order", "2"], ["--seed", "-1"],
+        ["--high", "inf"], ["--low=-inf", "--high", "0"],
+        ["--low=-1e308", "--high", "1e308"]])
     def test_narma_gen_bad_argument_is_spec_error(self, tmp_path, args):
         out = tmp_path / "narma.csv"
         assert main(["narma-gen", *args, "--out", str(out)]) == 2

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -408,3 +411,25 @@ def test_readme_equations_match_module_docstring():
     readme = equation_lines(README.read_text(encoding="utf-8"))
     assert [line.split(" =")[0] for line in readme] == ["phi[k, j]", "M[k, j]"]
     assert readme == equation_lines(reservoir.__doc__)
+
+
+_LAZY_SIGNAL = """
+import sys
+import numpy as np
+import pulserc, pulserc.cli
+from pulserc import ReservoirParams, generate_mask, run
+assert "scipy.signal" not in sys.modules, "scipy.signal loaded at import"
+params = ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0, filter_mode="full")
+out = run(np.linspace(0.0, 0.5, 20), generate_mask(4, 1), params, washout=2)
+assert out.shape == (18, 5) and np.all(np.isfinite(out))
+assert "scipy.signal" in sys.modules
+"""
+
+
+def test_scipy_signal_loads_only_when_full_filter_runs():
+    # a fresh interpreter, so no earlier test has loaded scipy.signal
+    src = str(Path(reservoir.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LAZY_SIGNAL], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

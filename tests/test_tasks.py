@@ -16,7 +16,13 @@ from pulserc import (
     pearson,
     standardize,
 )
-from pulserc.tasks import NARMA_DIVERGENCE_LIMIT, _PAIRWISE_MIN_TERMS, _pairwise_sum
+from pulserc.tasks import (
+    NARMA_DIVERGENCE_LIMIT,
+    _PAIRWISE_MIN_TERMS,
+    _PUMP_AR_POLE,
+    _PUMP_SCALE,
+    _pairwise_sum,
+)
 
 
 def narma_reference(u, order, compat=False):
@@ -60,6 +66,10 @@ class TestNarmaConfig:
         dict(order=0, length=100, seed=1),
         dict(order=5, length=5, seed=1),
         dict(order=2, length=100, seed=1, input_low=0.5, input_high=0.5),
+        dict(order=2, length=100, seed=1, input_high=math.inf),
+        dict(order=2, length=100, seed=1, input_low=-math.inf, input_high=0.0),
+        dict(order=2, length=100, seed=1, input_low=-1e308, input_high=1e308),
+        dict(order=2, length=100, seed=1, input_low=math.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
@@ -224,6 +234,16 @@ class TestSurrogate:
     def test_minimum_length(self):
         with pytest.raises(ParameterError):
             gen_surrogate_laser(99, 0)
+
+    @pytest.mark.parametrize("length", [100, 2900])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 299])
+    def test_inputs_equal_the_ar1_filter(self, length, seed):
+        from scipy.signal import lfilter
+        pole = _PUMP_AR_POLE
+        white = np.random.default_rng(seed).standard_normal(length)
+        want = _PUMP_SCALE * lfilter([math.sqrt(1.0 - pole ** 2)], [1.0, -pole],
+                                     white)
+        assert np.array_equal(gen_surrogate_laser(length, seed).inputs, want)
 
 
 class TestStandardize:
