@@ -189,33 +189,43 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     """
     spec.validate()
     t0 = time.perf_counter()
-    datasets, masks = _prepare_replications(spec)
+    inputs, targets = _replication_series(spec)
+    masks = np.stack([
+        generate_mask(spec.num_nodes, derive_seed(spec.mask_seed, r, _STREAM_MASK),
+                      spec.mask_kind).weights
+        for r in range(spec.replications)])
     noise_seeds = [derive_seed(spec.seed, r, _STREAM_NOISE)
                    for r in range(spec.replications)]
     params = spec.reservoir_params()
     rep_bytes = spec.total_len * (spec.num_nodes + 1) * 8
     block = max(1, min(spec.replications, _DRIVE_BLOCK_BYTES // rep_bytes))
 
-    reps = []
+    fits = []
     for first in range(0, spec.replications, block):
-        reps += _run_block(spec, params, datasets, masks, noise_seeds,
-                           range(first, min(first + block, spec.replications)))
-    pearsons = [rep["pearson"] for rep in reps]
-    nrmses = [rep["nrmse"] for rep in reps]
+        rows = slice(first, first + block)
+        states = drive_block(inputs[rows], masks[rows], params,
+                             noise_seeds[rows], spec.washout)
+        for r, rep_states in enumerate(states, first):
+            with _replication(r):
+                fits.append(_fit_replication(spec, rep_states, targets[r]))
+        # free this block's state matrices before the next one is driven
+        del states, rep_states
+    pearsons, nrmses, lambdas, predictions, weights = map(list, zip(*fits))
     return ResultRecord(
         spec_fields=spec.to_dict(),
         spec_hash=spec.spec_hash(),
         pearson_reps=pearsons,
         nrmse_reps=nrmses,
-        lambda_reps=[rep["ridge_lambda"] for rep in reps],
+        lambda_reps=lambdas,
         pearson_mean=float(np.mean(pearsons)),
         pearson_std=_spread(pearsons),
         nrmse_mean=float(np.mean(nrmses)),
         nrmse_std=_spread(nrmses),
         duration_s=time.perf_counter() - t0,
-        trace_targets=reps[0]["targets"],
-        trace_predictions=reps[0]["predictions"],
-        readout_first=reps[0]["weights"],
+        # a copy: a view would keep every replication's targets alive
+        trace_targets=targets[0, spec.washout + spec.train_len:].copy(),
+        trace_predictions=predictions[0],
+        readout_first=weights[0],
     )
 
 
@@ -382,38 +392,33 @@ def _fmt_value(v, exact: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# single-replication pipeline
+# replication pipeline
 
-def _prepare_replications(
-    spec: ExperimentSpec,
-) -> tuple[list[TaskDataset], list[np.ndarray]]:
-    """Every replication's (standardized) dataset and mask weights. A CSV
-    task does not depend on the task seed, so its file is read once and
-    shared by all replications; it may change between calls, so it is
-    never kept. Generated series come from :func:`_generated_tasks`."""
+def _replication_series(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every replication's (standardized) inputs and targets, cut to the
+    spec's total length, as two (replications, total_len) arrays.
+
+    A CSV task does not depend on the task seed, so its file is read,
+    checked and standardized once and repeated for every replication; it
+    may change between calls, so it is never kept. Generated series come
+    from :func:`_generated_tasks`, drawn at least ``total_len`` long, and
+    are standardized per replication.
+    """
+    n = spec.total_len
     if spec.task == "csv":
-        series = (load_csv_task(spec.csv_input, spec.csv_target),)
+        ds = load_csv_task(spec.csv_input, spec.csv_target)
+        if ds.length < n:
+            raise SpecError(f"task {ds.name!r} provides {ds.length} samples "
+                            f"but washout+train+test needs {n}")
+        series, repeats = (ds,), spec.replications
     else:
         series = _generated_tasks(spec.task, spec.order, spec.compat_narma_sum,
-                                  spec.total_len, spec.seed, spec.replications)
-    datasets = []
-    for r, ds in enumerate(series):
-        with _replication(r):
-            if ds.length < spec.total_len:
-                raise SpecError(
-                    f"task {ds.name!r} provides {ds.length} samples but "
-                    f"washout+train+test needs {spec.total_len}")
-            datasets.append(standardize(ds, spec.washout + spec.train_len)
-                            if spec.standardize else ds)
-    if spec.task == "csv":
-        datasets *= spec.replications
-    masks = []
-    for r in range(spec.replications):
-        with _replication(r):
-            mask_seed = derive_seed(spec.mask_seed, r, _STREAM_MASK)
-            masks.append(
-                generate_mask(spec.num_nodes, mask_seed, spec.mask_kind).weights)
-    return datasets, masks
+                                  n, spec.seed, spec.replications)
+        repeats = 1
+    if spec.standardize:
+        series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
+    return (np.stack([ds.inputs[:n] for ds in series] * repeats),
+            np.stack([ds.targets[:n] for ds in series] * repeats))
 
 
 @functools.lru_cache(maxsize=1)
@@ -443,28 +448,13 @@ def _replication(r: int):
         raise type(exc)(f"replication {r}: {exc}") from exc
 
 
-def _run_block(spec, params, datasets, masks, noise_seeds, idx) -> list[dict]:
-    """Drive the replications in ``idx`` together, then fit each one. The
-    block's state matrices are freed on return, before the next block is
-    allocated."""
-    inputs = np.stack([datasets[r].inputs[: spec.total_len] for r in idx])
-    states = drive_block(inputs, np.stack([masks[r] for r in idx]), params,
-                         [noise_seeds[r] for r in idx], spec.washout)
-    reps = []
-    for r, rep_states in zip(idx, states):
-        with _replication(r):
-            reps.append(_fit_replication(spec, datasets[r], rep_states))
-    return reps
-
-
-def _fit_replication(spec: ExperimentSpec, ds: TaskDataset, states) -> dict:
-    """Ridge readout of one replication's state matrix, scored on its
-    test region."""
-    needed = spec.total_len
-    r_train = states[: spec.train_len]
-    y_train = ds.targets[spec.washout: spec.washout + spec.train_len]
-    r_test = states[spec.train_len: spec.train_len + spec.test_len]
-    y_test = ds.targets[spec.washout + spec.train_len: needed]
+def _fit_replication(spec: ExperimentSpec, states, targets) -> tuple:
+    """Ridge readout of one replication's state matrix against its target
+    row, scored on the test region: (pearson, nrmse, ridge strength, test
+    predictions, readout weights)."""
+    r_train, r_test = states[: spec.train_len], states[spec.train_len:]
+    y_train = targets[spec.washout: spec.washout + spec.train_len]
+    y_test = targets[spec.washout + spec.train_len:]
 
     lam = spec.ridge_lambda
     if spec.lambda_grid:
@@ -472,14 +462,7 @@ def _fit_replication(spec: ExperimentSpec, ds: TaskDataset, states) -> dict:
     w = fit_ridge(r_train, y_train, lam)
     yhat = predict(r_test, w)
     report = evaluate(y_test, yhat)
-    return {
-        "pearson": report.pearson,
-        "nrmse": report.nrmse,
-        "ridge_lambda": lam,
-        "targets": np.array(y_test, dtype=float),  # no view of a kept task
-        "predictions": yhat,
-        "weights": w.weights,
-    }
+    return report.pearson, report.nrmse, lam, yhat, w.weights
 
 
 def _grid_fits(r_train, y_train, grid) -> list[tuple[ReadoutWeights, float]]:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -206,8 +207,16 @@ class TestRunExperiment:
                                         replications=1))
         assert rec.lambda_reps[0] in (1e-6, 1e-2)
 
-    def test_block_size_changes_no_result(self, monkeypatch):
-        spec = small_spec(replications=5, noise_sigma=0.01)
+    @pytest.mark.parametrize("task", ["narma", "surrogate", "csv"])
+    def test_block_size_changes_no_result(self, monkeypatch, tmp_path, task):
+        spec = small_spec(replications=5, noise_sigma=0.01, task=task)
+        if task == "csv":
+            data = tmp_path / "data.csv"
+            rng = np.random.default_rng(5)
+            data.write_text("u,y\n" + "".join(
+                f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
+            spec = replace(spec, csv_input=str(data), csv_target="column:y",
+                           standardize=True)
         together = run_experiment(spec)
         # 1 byte: every replication is driven on its own
         monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES", 1)
@@ -220,6 +229,23 @@ class TestRunExperiment:
             assert rec.pearson_reps == together.pearson_reps
             assert rec.nrmse_reps == together.nrmse_reps
             assert np.array_equal(rec.readout_first, together.readout_first)
+
+    def test_blocks_are_freed_before_the_next_drive(self, monkeypatch):
+        spec = small_spec(num_nodes=100, replications=6, washout=50,
+                          train_len=2250, test_len=600)
+        rep_bytes = spec.total_len * (spec.num_nodes + 1) * 8
+        # one replication per block: six blocks, driven one after another
+        monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES", rep_bytes)
+        run_experiment(spec)  # draws the task series, kept for the next run
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.2-1.3x; a block still referenced while the next one is
+        # driven reads about 2.3x
+        assert peak < 1.6 * rep_bytes
 
     def test_csv_task_read_once(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
@@ -245,9 +271,12 @@ class TestRunExperiment:
         y = tmp_path / "y.csv"
         u.write_text("\n".join(str(i) for i in range(50)) + "\n")
         y.write_text("\n".join(str(i) for i in range(50)) + "\n")
-        with pytest.raises(SpecError, match="replication 0"):
+        with pytest.raises(SpecError, match="provides 50 samples but "
+                           "washout\\+train\\+test needs 300") as err:
             run_experiment(small_spec(task="csv", csv_input=str(u),
                                       csv_target=str(y)))
+        # the file is checked once per experiment, not per replication
+        assert "replication" not in str(err.value)
 
 
 def same_records(a: ResultRecord, b: ResultRecord) -> bool:
@@ -661,7 +690,7 @@ class TestCli:
         ["--order", "0"], ["--low", "1", "--high", "0"],
         ["--length", "2", "--order", "2"], ["--seed", "-1"],
         ["--high", "inf"], ["--low=-inf", "--high", "0"],
-        ["--low=-1e308", "--high", "1e308"]])
+        ["--low=-1e308", "--high", "1e308"], ["--order", "30"]])
     def test_narma_gen_bad_argument_is_spec_error(self, tmp_path, args):
         out = tmp_path / "narma.csv"
         assert main(["narma-gen", *args, "--out", str(out)]) == 2
