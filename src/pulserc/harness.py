@@ -14,7 +14,6 @@ so reruns are byte-identical; :func:`read_records` reads one back.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import itertools
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PulseRcError, SpecError
+from .errors import DivergenceError, PulseRcError, SpecError
 from .readout import ReadoutWeights, evaluate, fit_ridge, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
 from .tasks import NarmaConfig, TaskDataset, gen_narma, gen_surrogate_laser, load_csv_task, standardize
@@ -188,45 +187,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     size changes no result.
     """
     spec.validate()
-    t0 = time.perf_counter()
-    inputs, targets = _replication_series(spec)
-    masks = np.stack([
-        generate_mask(spec.num_nodes, derive_seed(spec.mask_seed, r, _STREAM_MASK),
-                      spec.mask_kind).weights
-        for r in range(spec.replications)])
-    noise_seeds = [derive_seed(spec.seed, r, _STREAM_NOISE)
-                   for r in range(spec.replications)]
-    params = spec.reservoir_params()
-    rep_bytes = spec.total_len * (spec.num_nodes + 1) * 8
-    block = max(1, min(spec.replications, _DRIVE_BLOCK_BYTES // rep_bytes))
-
-    fits = []
-    for first in range(0, spec.replications, block):
-        rows = slice(first, first + block)
-        states = drive_block(inputs[rows], masks[rows], params,
-                             noise_seeds[rows], spec.washout)
-        for r, rep_states in enumerate(states, first):
-            with _replication(r):
-                fits.append(_fit_replication(spec, rep_states, targets[r]))
-        # free this block's state matrices before the next one is driven
-        del states, rep_states
-    pearsons, nrmses, lambdas, predictions, weights = map(list, zip(*fits))
-    return ResultRecord(
-        spec_fields=spec.to_dict(),
-        spec_hash=spec.spec_hash(),
-        pearson_reps=pearsons,
-        nrmse_reps=nrmses,
-        lambda_reps=lambdas,
-        pearson_mean=float(np.mean(pearsons)),
-        pearson_std=_spread(pearsons),
-        nrmse_mean=float(np.mean(nrmses)),
-        nrmse_std=_spread(nrmses),
-        duration_s=time.perf_counter() - t0,
-        # a copy: a view would keep every replication's targets alive
-        trace_targets=targets[0, spec.washout + spec.train_len:].copy(),
-        trace_predictions=predictions[0],
-        readout_first=weights[0],
-    )
+    [record] = _run_points([spec], {})
+    return record
 
 
 def run_sweep(
@@ -238,9 +200,12 @@ def run_sweep(
 
     Axis values may be numbers or text (as the CLI passes them); each is
     read as its field's type, as a spec file reads it. Every point is
-    validated before any compute. Records come back in lexicographic order
-    over the axes as given and are streamed to ``out_path`` (unless None)
-    as they complete.
+    validated, and replication 0 of every NARMA task is drawn, before any
+    compute: an order whose recursion diverges for every redraw is a
+    SpecError. Points that differ only in ``order`` and ``ridge_lambda``
+    share their reservoir drives. Records come back in lexicographic order
+    over the axes as given and are streamed to ``out_path`` (unless None),
+    each once it and every earlier point are done.
     """
     base.validate()
     typed: dict[str, list] = {}
@@ -261,9 +226,19 @@ def run_sweep(
              for combo in itertools.product(*typed.values())]
     for s in specs:
         s.validate()
+    # the spec alone fixes whether a NARMA order can run: draw replication
+    # 0 of each before any compute, and keep the draw for the run
+    memo: dict = {}
+    for s in specs:
+        if s.task == "narma":
+            try:
+                _generated_tasks(memo, s, 1)
+            except DivergenceError as exc:
+                raise SpecError(str(exc)) from exc
+    records = _run_points(specs, memo)
     if out_path is None:
-        return list(map(run_experiment, specs))
-    return write_records(out_path, base, typed.items(), map(run_experiment, specs))
+        return list(records)
+    return write_records(out_path, base, typed.items(), records)
 
 
 def emit_figure_data(records: list[ResultRecord], figure: str, out) -> None:
@@ -394,7 +369,119 @@ def _fmt_value(v, exact: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # replication pipeline
 
-def _replication_series(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
+def _run_points(specs: list[ExperimentSpec], memo: dict):
+    """Yield the record of every point in ``specs``, in order, each once it
+    and every earlier point are done; a point that failed raises its error
+    in its turn, once every earlier point has been yielded.
+
+    Points that differ only in ``order`` and ``ridge_lambda``, which only
+    the targets and the readout read, form a drive group, run when its
+    first point comes up. ``memo`` keeps the generated series of the tasks
+    in use and drops each one once its last group has read it. A group's
+    wall time is split evenly over its points' ``duration_s``.
+    """
+    groups: dict[ExperimentSpec, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(replace(spec, order=0, ridge_lambda=0.0), []).append(i)
+    last_group = {_task_key(specs[i]): g
+                  for g, members in enumerate(groups.values()) for i in members}
+    done: list = [None] * len(specs)
+    emitted = 0
+    for g, members in enumerate(groups.values()):
+        t0 = time.perf_counter()
+        series = {}
+        for i in members:
+            try:
+                series[i] = _replication_series(specs[i], memo)
+            except PulseRcError as exc:
+                done[i] = exc
+        for key in [k for k, last in last_group.items() if last == g]:
+            memo.pop(key, None)
+        fits = _drive_group(specs, series)
+        duration = (time.perf_counter() - t0) / len(members)
+        for i, outcome in fits.items():
+            done[i] = (outcome if isinstance(outcome, Exception)
+                       else _record(specs[i], outcome, series[i][1], duration))
+        del series, fits
+        while emitted < len(specs) and done[emitted] is not None:
+            if isinstance(done[emitted], Exception):
+                raise done[emitted]
+            yield done[emitted]
+            emitted += 1
+
+
+def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
+    """Every fit of one drive group: for each point ``i`` with its
+    (inputs, targets) in ``series``, its per-replication fits in
+    replication order, or the library error that stopped them.
+
+    Each distinct (replication, input row) of the group is driven once, in
+    blocks of at most ``_DRIVE_BLOCK_BYTES`` of state matrices, and fitted
+    for every point whose row it is. A NARMA row differs between orders
+    only where one of them redrew its series.
+    """
+    outcomes: dict = {i: [] for i in series}
+    if not series:
+        return outcomes
+    lead = specs[next(iter(series))]
+    users: dict[tuple[int, bytes], list[int]] = {}
+    # replication-major, so every point fits its replications in order
+    for r in range(lead.replications):
+        for i, (inputs, _) in series.items():
+            users.setdefault((r, inputs[r].tobytes()), []).append(i)
+    drives = [(r, points) for (r, _), points in users.items()]
+    del users
+    masks = np.stack([
+        generate_mask(lead.num_nodes, derive_seed(lead.mask_seed, r, _STREAM_MASK),
+                      lead.mask_kind).weights
+        for r, _ in drives])
+    noise_seeds = [derive_seed(lead.seed, r, _STREAM_NOISE) for r, _ in drives]
+    params = lead.reservoir_params()
+    rep_bytes = lead.total_len * (lead.num_nodes + 1) * 8
+    block = max(1, min(len(drives), _DRIVE_BLOCK_BYTES // rep_bytes))
+
+    for first in range(0, len(drives), block):
+        rows = slice(first, first + block)
+        inputs = np.stack([series[points[0]][0][r] for r, points in drives[rows]])
+        states = drive_block(inputs, masks[rows], params, noise_seeds[rows],
+                             lead.washout)
+        for (r, points), rep_states in zip(drives[rows], states):
+            for i in points:
+                if isinstance(outcomes[i], Exception):
+                    continue
+                try:
+                    with _replication(r):
+                        outcomes[i].append(_fit_replication(
+                            specs[i], rep_states, series[i][1][r]))
+                except PulseRcError as exc:
+                    outcomes[i] = exc
+        # free this block's state matrices before the next one is driven
+        del states, rep_states
+    return outcomes
+
+
+def _record(spec: ExperimentSpec, fits: list, targets, duration: float) -> ResultRecord:
+    """Aggregate one point's per-replication fits into its record."""
+    pearsons, nrmses, lambdas, predictions, weights = map(list, zip(*fits))
+    return ResultRecord(
+        spec_fields=spec.to_dict(),
+        spec_hash=spec.spec_hash(),
+        pearson_reps=pearsons,
+        nrmse_reps=nrmses,
+        lambda_reps=lambdas,
+        pearson_mean=float(np.mean(pearsons)),
+        pearson_std=_spread(pearsons),
+        nrmse_mean=float(np.mean(nrmses)),
+        nrmse_std=_spread(nrmses),
+        duration_s=duration,
+        # a copy: a view would keep every replication's targets alive
+        trace_targets=targets[0, spec.washout + spec.train_len:].copy(),
+        trace_predictions=predictions[0],
+        readout_first=weights[0],
+    )
+
+
+def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, np.ndarray]:
     """Every replication's (standardized) inputs and targets, cut to the
     spec's total length, as two (replications, total_len) arrays.
 
@@ -412,8 +499,7 @@ def _replication_series(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
                             f"but washout+train+test needs {n}")
         series, repeats = (ds,), spec.replications
     else:
-        series = _generated_tasks(spec.task, spec.order, spec.compat_narma_sum,
-                                  n, spec.seed, spec.replications)
+        series = _generated_tasks(memo, spec, spec.replications)
         repeats = 1
     if spec.standardize:
         series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
@@ -421,22 +507,28 @@ def _replication_series(spec: ExperimentSpec) -> tuple[np.ndarray, np.ndarray]:
             np.stack([ds.targets[:n] for ds in series] * repeats))
 
 
-@functools.lru_cache(maxsize=1)
-def _generated_tasks(task: str, order: int, compat_sum: bool, length: int,
-                     seed: int, replications: int) -> tuple[TaskDataset, ...]:
-    """Every replication's generated (NARMA or surrogate) series. The last
-    call's series are kept, so the experiments of a run of equal points,
-    such as the V = 35 and V = 100 points of one NARMA order, share them."""
-    series = []
-    for r in range(replications):
-        task_seed = derive_seed(seed, r, _STREAM_TASK)
+def _task_key(spec: ExperimentSpec) -> tuple:
+    """What a generated task's series are built from, but the replication
+    count: replication r's series does not depend on it."""
+    return (spec.task, spec.order, spec.compat_narma_sum, spec.total_len, spec.seed)
+
+
+def _generated_tasks(memo: dict, spec: ExperimentSpec,
+                     replications: int) -> list[TaskDataset]:
+    """The first ``replications`` generated (NARMA or surrogate) series of
+    ``spec``'s task. ``memo`` keeps every task's series drawn so far, so the
+    points of one sweep that share a task, such as its V = 35 and V = 100
+    points of one NARMA order, draw them once."""
+    series = memo.setdefault(_task_key(spec), [])
+    for r in range(len(series), replications):
+        task_seed = derive_seed(spec.seed, r, _STREAM_TASK)
         with _replication(r):
-            if task == "narma":
-                series.append(gen_narma(NarmaConfig(order, length, task_seed),
-                                        compat_sum=compat_sum))
+            if spec.task == "narma":
+                series.append(gen_narma(NarmaConfig(spec.order, spec.total_len, task_seed),
+                                        compat_sum=spec.compat_narma_sum))
             else:
-                series.append(gen_surrogate_laser(max(100, length), task_seed))
-    return tuple(series)
+                series.append(gen_surrogate_laser(max(100, spec.total_len), task_seed))
+    return series[:replications]
 
 
 @contextlib.contextmanager

@@ -236,7 +236,7 @@ class TestRunExperiment:
         rep_bytes = spec.total_len * (spec.num_nodes + 1) * 8
         # one replication per block: six blocks, driven one after another
         monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES", rep_bytes)
-        run_experiment(spec)  # draws the task series, kept for the next run
+        run_experiment(spec)  # warms up NumPy's allocations
         tracemalloc.start()
         try:
             run_experiment(spec)
@@ -295,12 +295,6 @@ _TASK_FIELD_CHANGES = dict(order=3, compat_narma_sum=True, standardize=True,
 
 
 class TestTaskMemo:
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        harness._generated_tasks.cache_clear()
-        yield
-        harness._generated_tasks.cache_clear()
-
     @staticmethod
     def _count(monkeypatch, name):
         calls = []
@@ -317,11 +311,12 @@ class TestTaskMemo:
         # V changes inside each order, so each order's two series are drawn
         # for its first point and reused for its second
         assert len(calls) == 4
-        # standardization runs per experiment, on the kept series
+        # the memo lives for one call: each experiment draws its own two
+        # series, whatever ran before it
         calls.clear()
         for flag in (False, True):
             run_experiment(small_spec(replications=2, standardize=flag))
-        assert len(calls) == 2
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("task", ["narma", "surrogate"])
     @pytest.mark.parametrize("field", ["task", *_TASK_FIELD_CHANGES])
@@ -329,12 +324,10 @@ class TestTaskMemo:
         first = small_spec(task=task)
         other_task = "surrogate" if task == "narma" else "narma"
         second = replace(first, **{field: _TASK_FIELD_CHANGES.get(field, other_task)})
-        # the two points one after the other, as a sweep runs them
-        swept = [run_experiment(first), run_experiment(second)]
-        fresh = []
-        for spec in (first, second):
-            harness._generated_tasks.cache_clear()
-            fresh.append(run_experiment(spec))
+        # the two points one after the other, sharing one memo as a sweep's
+        # points do; each fresh run has a memo of its own
+        swept = list(harness._run_points([first, second], {}))
+        fresh = [run_experiment(first), run_experiment(second)]
         assert all(map(same_records, swept, fresh))
 
     def test_csv_read_again_after_rewrite(self, tmp_path, monkeypatch):
@@ -364,7 +357,6 @@ class TestTaskMemo:
         first.trace_targets += 1.0
         again = run_experiment(spec)
         assert np.array_equal(again.trace_targets, want)
-        harness._generated_tasks.cache_clear()
         assert same_records(again, run_experiment(spec))
 
 
@@ -411,6 +403,13 @@ class TestSweep:
         assert "# axis: num_nodes = 20,100\n" in out.read_text()
         [rec] = read_records(out)
         assert rec.spec_fields["num_nodes"] == 20
+        # the same holds for a point that fails inside its drive group: at
+        # V = 100, 100 training rows cannot carry lambda = 0
+        spec = small_spec(replications=1, num_nodes=100, train_len=100)
+        with pytest.raises(SingularSystemError):
+            run_sweep(spec, [("ridge_lambda", [1e-6, 0.0])], out_path=out)
+        [rec] = read_records(out)
+        assert rec.spec_fields["ridge_lambda"] == 1e-6
 
     def test_axis_text_takes_the_field_type(self, tmp_path):
         records = run_sweep(small_spec(replications=1),
@@ -425,6 +424,72 @@ class TestSweep:
         run_sweep(small_spec(replications=1), axes, out_path=tmp_path / "a.tsv")
         run_sweep(small_spec(replications=1), axes, out_path=tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+def _sweep_points(base: ExperimentSpec, axes) -> list[ExperimentSpec]:
+    """The specs of a sweep's points, in its order."""
+    names = [name for name, _ in axes]
+    return [replace(base, **dict(zip(names, combo)))
+            for combo in itertools.product(*(values for _, values in axes))]
+
+
+class TestDriveGroups:
+    @staticmethod
+    def _count_rows(monkeypatch) -> list[int]:
+        rows = []
+        real = harness.drive_block
+        monkeypatch.setattr(
+            harness, "drive_block",
+            lambda inputs, *a: rows.append(inputs.shape[0]) or real(inputs, *a))
+        return rows
+
+    @pytest.mark.parametrize("axes", [
+        [("order", [2, 3, 4]), ("num_nodes", [7, 12])],
+        [("ridge_lambda", [1e-8, 1e-4, 1e-1, 0.0])],
+    ])
+    def test_sweep_equals_standalone_runs(self, axes):
+        base = small_spec(replications=3)
+        records = run_sweep(base, axes)
+        points = _sweep_points(base, axes)
+        assert len(records) == len(points)
+        for rec, spec in zip(records, points):
+            assert same_records(rec, run_experiment(spec))
+
+    def test_order_and_lambda_points_share_drives(self, monkeypatch):
+        replications = 3
+        rows = self._count_rows(monkeypatch)
+        run_sweep(small_spec(replications=replications),
+                  [("order", [2, 3, 4]), ("num_nodes", [7, 12])])
+        # one drive per node count and replication, not one per point
+        assert sum(rows) == 2 * replications
+        rows.clear()
+        run_sweep(small_spec(replications=replications),
+                  [("ridge_lambda", [1e-8, 1e-4])])
+        assert sum(rows) == replications
+
+    def test_redrawn_input_gets_its_own_drive(self, monkeypatch):
+        base = small_spec(replications=3, seed=4)
+        task_seeds = [harness.derive_seed(base.seed, r, harness._STREAM_TASK)
+                      for r in range(base.replications)]
+
+        def redraws(order):
+            return [gen_narma(NarmaConfig(order, base.total_len, seed))
+                    .meta["effective_seed"] - seed for seed in task_seeds]
+
+        # at this seed replication 2 of NARMA-10 redraws its input once
+        # and NARMA-2 redraws none
+        assert redraws(2) == [0, 0, 0] and redraws(10) == [0, 0, 1]
+        rows = self._count_rows(monkeypatch)
+        records = run_sweep(base, [("order", [2, 10])])
+        assert sum(rows) == 4
+        monkeypatch.undo()
+        for rec, spec in zip(records, _sweep_points(base, [("order", [2, 10])])):
+            assert same_records(rec, run_experiment(spec))
+
+    def test_group_duration_is_split_over_its_points(self):
+        records = run_sweep(small_spec(replications=1),
+                            [("ridge_lambda", [1e-8, 1e-4])])
+        assert records[0].duration_s == records[1].duration_s > 0
 
 
 def fit_ridge_reference(states, targets, lam):
@@ -671,6 +736,19 @@ class TestCli:
         path = self._spec_file(tmp_path)
         assert main([command, "--spec", str(path), "--out", ""]) == 2
         assert capsys.readouterr().err.count("results path") == 2
+
+    @pytest.mark.parametrize("command, overrides, args", [
+        ("sweep", {}, ["--axis", "order=2,30"]),
+        ("run", dict(order=30), []),
+    ])
+    def test_diverging_order_is_spec_error(self, tmp_path, monkeypatch, capsys,
+                                           command, overrides, args):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path, **overrides)
+        assert main([command, "--spec", str(path), *args]) == 2
+        assert "NARMA-30 diverged" in capsys.readouterr().err
+        # checked before the results file is opened: no file, so no row
+        assert not (tmp_path / "res.tsv").exists()
 
     def test_bad_axis_exit_code(self, tmp_path):
         path = self._spec_file(tmp_path)
