@@ -25,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, PulseRcError, SpecError
-from .readout import ReadoutWeights, evaluate, fit_ridge, normal_equations, nrmse, predict
+from .readout import evaluate, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
-from .tasks import NarmaConfig, TaskDataset, gen_narma, gen_surrogate_laser, load_csv_task, standardize
+from .tasks import (_PAIRWISE_MIN_TERMS, NarmaConfig, TaskDataset, gen_narma, gen_narma_lockstep,
+                    gen_surrogate_laser, load_csv_task, standardize)
 
 SCHEMA_VERSION = 1
 
@@ -187,7 +188,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     size changes no result.
     """
     spec.validate()
-    [record] = _run_points([spec], {})
+    [record] = _run_points([spec])
     return record
 
 
@@ -200,12 +201,12 @@ def run_sweep(
 
     Axis values may be numbers or text (as the CLI passes them); each is
     read as its field's type, as a spec file reads it. Every point is
-    validated, and replication 0 of every NARMA task is drawn, before any
-    compute: an order whose recursion diverges for every redraw is a
-    SpecError. Points that differ only in ``order`` and ``ridge_lambda``
-    share their reservoir drives. Records come back in lexicographic order
-    over the axes as given and are streamed to ``out_path`` (unless None),
-    each once it and every earlier point are done.
+    validated, and the series checked as :func:`_run_points` does, before
+    any compute and before ``out_path`` is opened. Points that differ only
+    in ``order`` and ``ridge_lambda`` share their reservoir drives, Grams
+    and Cholesky factors. Records come back in lexicographic order over
+    the axes as given and are streamed to ``out_path`` (unless None), each
+    once it and every earlier point are done.
     """
     base.validate()
     typed: dict[str, list] = {}
@@ -226,16 +227,7 @@ def run_sweep(
              for combo in itertools.product(*typed.values())]
     for s in specs:
         s.validate()
-    # the spec alone fixes whether a NARMA order can run: draw replication
-    # 0 of each before any compute, and keep the draw for the run
-    memo: dict = {}
-    for s in specs:
-        if s.task == "narma":
-            try:
-                _generated_tasks(memo, s, 1)
-            except DivergenceError as exc:
-                raise SpecError(str(exc)) from exc
-    records = _run_points(specs, memo)
+    records = _run_points(specs)
     if out_path is None:
         return list(records)
     return write_records(out_path, base, typed.items(), records)
@@ -369,36 +361,66 @@ def _fmt_value(v, exact: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # replication pipeline
 
-def _run_points(specs: list[ExperimentSpec], memo: dict):
-    """Yield the record of every point in ``specs``, in order, each once it
-    and every earlier point are done; a point that failed raises its error
-    in its turn, once every earlier point has been yielded.
+def _run_points(specs: list[ExperimentSpec]):
+    """Check and build what the points of ``specs`` share, then return a
+    generator of their records (:func:`_run_groups`).
 
     Points that differ only in ``order`` and ``ridge_lambda``, which only
-    the targets and the readout read, form a drive group, run when its
-    first point comes up. ``memo`` keeps the generated series of the tasks
-    in use and drops each one once its last group has read it. A group's
-    wall time is split evenly over its points' ``duration_s``.
+    the targets and the readout read, form a drive group. Each CSV task is
+    read once: the call's snapshot of its file. A CSV shorter than any of
+    its points, or a NARMA order that diverges while the first group's
+    series are built or at replication 0 of a later task, is a SpecError
+    before any compute.
     """
     groups: dict[ExperimentSpec, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(replace(spec, order=0, ridge_lambda=0.0), []).append(i)
+    members = list(groups.values())
+    first_keys = {_task_key(specs[i]) for i in members[0]}
+    memo: dict = {}
+    t0 = time.perf_counter()
+    try:
+        for spec in specs:
+            key = _task_key(spec)
+            if spec.task == "csv":
+                if key not in memo:
+                    memo[key] = load_csv_task(spec.csv_input, spec.csv_target)
+                if memo[key].length < spec.total_len:
+                    raise SpecError(f"task {memo[key].name!r} provides {memo[key].length} "
+                                    f"samples but washout+train+test needs {spec.total_len}")
+            elif spec.task == "narma" and key not in first_keys:
+                _generated_tasks(memo, spec, 1)
+        first = _group_series(specs, members[0], memo)
+        for outcome in first.values():
+            if isinstance(outcome, DivergenceError):
+                raise outcome
+    except DivergenceError as exc:
+        raise SpecError(str(exc)) from exc
+    return _run_groups(specs, members, memo, first, t0)
+
+
+def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], memo: dict,
+                series: dict, t0: float):
+    """Yield the record of every point, in order, each once it and every
+    earlier point are done; a point that failed raises its error in its
+    turn, once every earlier point has been yielded.
+
+    ``series`` is the first group's. ``memo`` drops each task once its last
+    group has read it. A group's wall time, its series included, is split
+    evenly over its points' ``duration_s``.
+    """
     last_group = {_task_key(specs[i]): g
-                  for g, members in enumerate(groups.values()) for i in members}
+                  for g, group in enumerate(members) for i in group}
     done: list = [None] * len(specs)
     emitted = 0
-    for g, members in enumerate(groups.values()):
-        t0 = time.perf_counter()
-        series = {}
-        for i in members:
-            try:
-                series[i] = _replication_series(specs[i], memo)
-            except PulseRcError as exc:
-                done[i] = exc
+    for g, group in enumerate(members):
+        if g:
+            t0 = time.perf_counter()
+            series = _group_series(specs, group, memo)
         for key in [k for k, last in last_group.items() if last == g]:
             memo.pop(key, None)
         fits = _drive_group(specs, series)
-        duration = (time.perf_counter() - t0) / len(members)
+        duration = (time.perf_counter() - t0) / len(group)
         for i, outcome in fits.items():
             done[i] = (outcome if isinstance(outcome, Exception)
                        else _record(specs[i], outcome, series[i][1], duration))
@@ -410,25 +432,54 @@ def _run_points(specs: list[ExperimentSpec], memo: dict):
             emitted += 1
 
 
+def _group_series(specs: list[ExperimentSpec], group: list[int], memo: dict) -> dict:
+    """Each point's (inputs, targets) from :func:`_replication_series`, or
+    the library error that stopped it. The group's missing NARMA rows whose
+    window has fewer than 8 terms are drawn first, in one lockstep pass."""
+    wanted = {_task_key(specs[i]): specs[i] for i in group if specs[i].task == "narma"
+              and specs[i].order + (not specs[i].compat_narma_sum) < _PAIRWISE_MIN_TERMS}
+    rows = [(key, spec, r) for key, spec in wanted.items()
+            for r in range(len(memo.get(key, ())), spec.replications)]
+    if rows:
+        cfgs = [NarmaConfig(spec.order, spec.total_len, derive_seed(spec.seed, r, _STREAM_TASK))
+                for _, spec, r in rows]
+        compat = specs[group[0]].compat_narma_sum
+        for (key, _, r), ds in zip(rows, gen_narma_lockstep(cfgs, compat)):
+            drawn = memo.setdefault(key, [])
+            # a row that diverged for every seed, and the task's rows after
+            # it, are left to gen_narma, which raises for it
+            if ds is not None and len(drawn) == r:
+                drawn.append(ds)
+    series: dict = {}
+    for i in group:
+        try:
+            series[i] = _replication_series(specs[i], memo)
+        except PulseRcError as exc:
+            series[i] = exc
+    return series
+
+
 def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
-    """Every fit of one drive group: for each point ``i`` with its
+    """Every outcome of one drive group: for each point ``i`` with its
     (inputs, targets) in ``series``, its per-replication fits in
-    replication order, or the library error that stopped them.
+    replication order, or the library error that stopped it (as an error
+    in ``series`` does).
 
     Each distinct (replication, input row) of the group is driven once, in
     blocks of at most ``_DRIVE_BLOCK_BYTES`` of state matrices, and fitted
-    for every point whose row it is. A NARMA row differs between orders
-    only where one of them redrew its series.
+    once for all the points whose row it is (:func:`_fit_drive`). A NARMA
+    row differs between orders only where one of them redrew its series.
     """
-    outcomes: dict = {i: [] for i in series}
-    if not series:
+    outcomes = {i: s if isinstance(s, Exception) else [] for i, s in series.items()}
+    live = [i for i, out in outcomes.items() if isinstance(out, list)]
+    if not live:
         return outcomes
-    lead = specs[next(iter(series))]
+    lead = specs[live[0]]
     users: dict[tuple[int, bytes], list[int]] = {}
     # replication-major, so every point fits its replications in order
     for r in range(lead.replications):
-        for i, (inputs, _) in series.items():
-            users.setdefault((r, inputs[r].tobytes()), []).append(i)
+        for i in live:
+            users.setdefault((r, series[i][0][r].tobytes()), []).append(i)
     drives = [(r, points) for (r, _), points in users.items()]
     del users
     masks = np.stack([
@@ -446,15 +497,13 @@ def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
         states = drive_block(inputs, masks[rows], params, noise_seeds[rows],
                              lead.washout)
         for (r, points), rep_states in zip(drives[rows], states):
-            for i in points:
-                if isinstance(outcomes[i], Exception):
-                    continue
-                try:
-                    with _replication(r):
-                        outcomes[i].append(_fit_replication(
-                            specs[i], rep_states, series[i][1][r]))
-                except PulseRcError as exc:
-                    outcomes[i] = exc
+            targets = {i: series[i][1][r] for i in points
+                       if isinstance(outcomes[i], list)}
+            for i, fit in (_fit_drive(specs, rep_states, targets) if targets else {}).items():
+                if isinstance(fit, Exception):
+                    outcomes[i] = type(fit)(f"replication {r}: {fit}")
+                else:
+                    outcomes[i].append(fit)
         # free this block's state matrices before the next one is driven
         del states, rep_states
     return outcomes
@@ -485,19 +534,14 @@ def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, n
     """Every replication's (standardized) inputs and targets, cut to the
     spec's total length, as two (replications, total_len) arrays.
 
-    A CSV task does not depend on the task seed, so its file is read,
-    checked and standardized once and repeated for every replication; it
-    may change between calls, so it is never kept. Generated series come
-    from :func:`_generated_tasks`, drawn at least ``total_len`` long, and
-    are standardized per replication.
+    A CSV task does not depend on the task seed: the call's one read of its
+    file serves every replication. Generated series come from
+    :func:`_generated_tasks`, drawn at least ``total_len`` long. Each
+    series is standardized on its own.
     """
     n = spec.total_len
     if spec.task == "csv":
-        ds = load_csv_task(spec.csv_input, spec.csv_target)
-        if ds.length < n:
-            raise SpecError(f"task {ds.name!r} provides {ds.length} samples "
-                            f"but washout+train+test needs {n}")
-        series, repeats = (ds,), spec.replications
+        series, repeats = (memo[_task_key(spec)],), spec.replications
     else:
         series = _generated_tasks(memo, spec, spec.replications)
         repeats = 1
@@ -508,8 +552,10 @@ def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, n
 
 
 def _task_key(spec: ExperimentSpec) -> tuple:
-    """What a generated task's series are built from, but the replication
-    count: replication r's series does not depend on it."""
+    """What a task's series are built from, but the replication count:
+    replication r's series does not depend on it."""
+    if spec.task == "csv":
+        return (spec.task, spec.csv_input, spec.csv_target)
     return (spec.task, spec.order, spec.compat_narma_sum, spec.total_len, spec.seed)
 
 
@@ -540,47 +586,72 @@ def _replication(r: int):
         raise type(exc)(f"replication {r}: {exc}") from exc
 
 
-def _fit_replication(spec: ExperimentSpec, states, targets) -> tuple:
-    """Ridge readout of one replication's state matrix against its target
-    row, scored on the test region: (pearson, nrmse, ridge strength, test
-    predictions, readout weights)."""
-    r_train, r_test = states[: spec.train_len], states[spec.train_len:]
-    y_train = targets[spec.washout: spec.washout + spec.train_len]
-    y_test = targets[spec.washout + spec.train_len:]
+def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:
+    """Ridge readouts of one driven state matrix for each point ``i`` with
+    its target row in ``targets``, scored on the test region: (pearson,
+    nrmse, ridge strength, test predictions, readout weights), or the
+    library error that stopped the point. The points share their split and
+    lambda grid, so they share each Gram and factor (:func:`_solves`).
+    """
+    lead = specs[next(iter(targets))]
+    n, train = lead.train_len, slice(lead.washout, lead.washout + lead.train_len)
+    y_train = {i: y[train] for i, y in targets.items()}
+    outcomes: dict = {}
+    lams = {i: (specs[i].ridge_lambda,) for i in targets}
+    if lead.lambda_grid:
+        # the strength whose fit on the first 80% of the training rows
+        # scores the lowest NRMSE on the rest (ties go to the earlier one)
+        m, best = _fit_rows(n), {}
 
-    lam = spec.ridge_lambda
-    if spec.lambda_grid:
-        lam = _select_lambda(r_train, y_train, spec.lambda_grid)
-    w = fit_ridge(r_train, y_train, lam)
-    yhat = predict(r_test, w)
-    report = evaluate(y_test, yhat)
-    return report.pearson, report.nrmse, lam, yhat, w.weights
+        def score(i, w):
+            err = nrmse(y_train[i][m:], predict(states[m:n], w))
+            if i not in best or err < best[i][0]:
+                best[i] = (err, w.ridge_lambda)
+        _solves(states[:m], {i: y[:m] for i, y in y_train.items()},
+                dict.fromkeys(targets, lead.lambda_grid), outcomes, score)
+        lams = {i: (lam,) for i, (_, lam) in best.items()}
+
+    def fit(i, w):
+        yhat = predict(states[n:], w)
+        report = evaluate(targets[i][train.stop:], yhat)
+        outcomes[i] = (report.pearson, report.nrmse, w.ridge_lambda, yhat, w.weights)
+    _solves(states[:n], y_train, lams, outcomes, fit)
+    return outcomes
 
 
-def _grid_fits(r_train, y_train, grid) -> list[tuple[ReadoutWeights, float]]:
-    """Every grid point's readout, fitted on the first 80% of the training
-    rows, with its NRMSE on the last 20%. The fit slice's normal equations
-    are formed once and solved for each grid point."""
-    n_fit = _fit_rows(r_train.shape[0])
-    system = normal_equations(r_train[:n_fit], y_train[:n_fit])
-    fits = []
-    for lam in grid:
-        w = system.solve(lam)
-        fits.append((w, nrmse(y_train[n_fit:], predict(r_train[n_fit:], w))))
-    return fits
+def _solves(states, targets: dict, lambdas: dict, outcomes: dict, use) -> None:
+    """Call ``use(i, weights)`` for each point ``i`` in ``lambdas`` without an
+    outcome and each of its ridge strengths, strength by strength: one Gram
+    of ``states``, one Cholesky factor alive at a time, one solve per point
+    (as a fit of its own solves it). A library error is the outcome of the
+    points it reaches."""
+    points = [i for i in lambdas if i not in outcomes]
+    if not points:
+        return
+    try:
+        system = normal_equations(states, np.stack([targets[i] for i in points]))
+    except PulseRcError as exc:
+        outcomes.update(dict.fromkeys(points, exc))
+        return
+    for lam in dict.fromkeys(lam for i in points for lam in lambdas[i]):
+        users = [k for k, i in enumerate(points) if lam in lambdas[i] and i not in outcomes]
+        try:
+            solve = system.solver(lam)
+        except PulseRcError as exc:
+            outcomes.update({points[k]: exc for k in users})
+            continue
+        for k in users:
+            try:
+                use(points[k], solve(system.rhs[k]))
+            except PulseRcError as exc:
+                outcomes[points[k]] = exc
+        del solve
 
 
 def _fit_rows(n: int) -> int:
     """Rows of an n-row training slice that the lambda grid fits on; the
     rest are held out to score each grid point."""
     return max(1, min(n - 1, int(0.8 * n)))
-
-
-def _select_lambda(r_train, y_train, grid) -> float:
-    """Grid search on a held-out slice: the ridge strength whose fit
-    scores the lowest held-out NRMSE (ties go to the earlier grid entry)."""
-    best, _ = min(_grid_fits(r_train, y_train, grid), key=lambda fit: fit[1])
-    return best.ridge_lambda
 
 
 def _spread(values) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +38,24 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """``R.T @ R`` and ``R.T @ y`` of one state matrix and target vector.
+    """``R.T @ R`` of one state matrix and ``R.T @ y`` of one target vector,
+    or one row of ``rhs`` per target of a stack.
 
-    Formed once by :func:`normal_equations` and solved for any number of
-    ridge strengths, so a lambda grid costs one Gram, not one per point.
+    Formed once by :func:`normal_equations`. Each ridge strength costs one
+    Cholesky factor, which solves for every target, so a lambda grid or
+    several targets of one state matrix share one Gram.
     """
 
     gram: np.ndarray
     rhs: np.ndarray
     n_rows: int
 
-    def solve(self, ridge_lambda: float) -> ReadoutWeights:
-        """Cholesky solve of ``(R.T R + lambda I) w = R.T y``. With
-        ``ridge_lambda = 0`` the state matrix must have full column rank."""
-        n_cols = self.rhs.size
+    def solver(self, ridge_lambda: float) -> Callable[[np.ndarray], ReadoutWeights]:
+        """Cholesky factor ``(R.T R + lambda I)`` and return the solve of one
+        ``R.T @ y`` against it. Solve each target on its own: a multi-column
+        solve need not give the same bits. With ``ridge_lambda = 0`` the
+        state matrix must have full column rank."""
+        n_cols = self.gram.shape[0]
         if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
             raise ParameterError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
         if ridge_lambda == 0.0 and self.n_rows < n_cols:
@@ -62,25 +67,38 @@ class NormalEquations:
         a = np.add(self.gram, 0.0, order="F")
         a.flat[:: n_cols + 1] += ridge_lambda
         try:
-            factor = cho_factor(a, overwrite_a=True)
+            factor = cho_factor(a, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal equations are singular; set ridge_lambda > 0 "
                 f"(currently {ridge_lambda!r})") from exc
-        return ReadoutWeights(cho_solve(factor, self.rhs), float(ridge_lambda))
+        return lambda rhs: ReadoutWeights(cho_solve(factor, rhs, check_finite=False),
+                                          float(ridge_lambda))
+
+    def solve(self, ridge_lambda: float) -> ReadoutWeights:
+        """Solve ``(R.T R + lambda I) w = R.T y`` for a single target."""
+        return self.solver(ridge_lambda)(self.rhs)
 
 
 def normal_equations(states: np.ndarray, targets: np.ndarray) -> NormalEquations:
-    """Check a state matrix against its targets and form the normal
-    equations of the ridge fit between them."""
+    """Check a state matrix against its targets, one vector or a 2-d stack
+    of one target per row, and form the normal equations of the ridge fit
+    between them: one Gram, and ``R.T @ y`` for each target on its own."""
     r = np.asarray(states, dtype=float)
-    y = np.asarray(targets, dtype=float).ravel()
+    y = np.asarray(targets, dtype=float)
+    ys = y if y.ndim == 2 else y.reshape(1, -1)
     if r.ndim != 2:
         raise DimensionError(f"states must be 2-d, got shape {r.shape}")
-    if r.shape[0] != y.size:
+    if r.shape[0] != ys.shape[1]:
         raise DimensionError(
-            f"states have {r.shape[0]} rows but targets have {y.size} entries")
-    return NormalEquations(r.T @ r, r.T @ y, r.shape[0])
+            f"states have {r.shape[0]} rows but targets have {ys.shape[1]} entries")
+    gram = r.T @ r
+    rhs = np.stack([r.T @ row for row in ys])
+    # a non-finite state or target reaches the Gram's diagonal or R.T @ y
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ParameterError(
+            "normal equations are not finite: states and targets must be finite")
+    return NormalEquations(gram, rhs if y.ndim == 2 else rhs[0], r.shape[0])
 
 
 def fit_ridge(states: np.ndarray, targets: np.ndarray,
@@ -91,7 +109,7 @@ def fit_ridge(states: np.ndarray, targets: np.ndarray,
     every column, the bias one included, is penalized alike. With
     ``ridge_lambda = 0`` the state matrix must have full column rank.
     """
-    return normal_equations(states, targets).solve(ridge_lambda)
+    return normal_equations(states, np.ravel(targets)).solve(ridge_lambda)
 
 
 def predict(states: np.ndarray, w: ReadoutWeights) -> np.ndarray:

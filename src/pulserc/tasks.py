@@ -128,6 +128,76 @@ def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
         f"[{cfg.seed}, {cfg.seed + _MAX_REDRAWS - 1}]")
 
 
+def gen_narma_lockstep(cfgs: list[NarmaConfig],
+                       compat_sum: bool = False) -> list[TaskDataset | None]:
+    """:func:`gen_narma` of configs of one length whose windows have fewer
+    than 8 terms, drawn together: each row bitwise equal to its own draw,
+    or None where that raises. The rows advance one NumPy step at a time; a
+    shorter window is padded with leading zeros (0.0 + x == x). A row past
+    the divergence limit is reset to 0, so nothing overflows, and drawn
+    again with the next seed in the next pass."""
+    if len({c.length for c in cfgs}) > 1 or any(
+            c.order + (not compat_sum) >= _PAIRWISE_MIN_TERMS for c in cfgs):
+        raise ParameterError("lockstep NARMA needs one length and windows of < 8 terms")
+    drawn: list[TaskDataset | None] = [None] * len(cfgs)
+    todo = list(range(len(cfgs)))
+    for attempt in range(_MAX_REDRAWS):
+        if not todo:
+            break
+        seeds = [cfgs[i].seed + attempt for i in todo]
+        u = np.stack([np.random.default_rng(seed).uniform(
+            cfgs[i].input_low, cfgs[i].input_high, cfgs[i].length) for i, seed in zip(todo, seeds)])
+        y, ok = _narma_lockstep(u, np.array([cfgs[i].order for i in todo]), compat_sum)
+        # copies, so that no row keeps the whole batch alive
+        for k in np.flatnonzero(ok):
+            drawn[todo[k]] = TaskDataset(u[k].copy(), y[k].copy(), name=f"narma{cfgs[todo[k]].order}",
+                                         meta={"effective_seed": seeds[k], "compat_sum": compat_sum})
+        todo = [i for i, good in zip(todo, ok) if not good]
+    return drawn
+
+
+def _narma_lockstep(u: np.ndarray, orders: np.ndarray,
+                    compat_sum: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The NARMA outputs driven by each row of ``u`` at its order, with the
+    operands, in their order, of :func:`_narma_outputs`; and which rows
+    stayed within the divergence limit."""
+    n_terms = orders if compat_sum else orders + 1
+    k, length = int(n_terms.max()), u.shape[1]
+    ut = np.ascontiguousarray(u.T)
+    drive = np.zeros_like(ut)  # 1.5 u[t-1] u[t-n], for every step at once
+    for n in np.unique(orders):
+        drive[n:, orders == n] = ut[:-n, orders == n]
+    # a product past the float range is inf, as on plain floats: the row
+    # then diverges at that step
+    with np.errstate(over="ignore"):
+        drive[1:] *= 1.5 * ut[:-1]
+    # y[t] is ys[k + t]; entry j of a step's window, y[t - k + j], is a
+    # term of the rows whose window reaches that far back
+    ys = np.zeros((k + length, len(orders)))
+    pad = (np.arange(k, 0, -1)[:, None] <= n_terms).astype(float)
+    starts, ok = orders + 1, np.ones(len(orders), dtype=bool)
+    last_start = int(starts.max())
+    window, s, a, b = np.empty_like(pad), *(np.empty(len(orders)) for _ in range(3))
+    for t in range(int(starts.min()), length):
+        prev = ys[k + t - 1]
+        np.multiply(ys[t:k + t], pad, out=window)
+        np.add.reduce(window, axis=0, out=s)
+        np.multiply(prev, 0.3, out=a)
+        np.multiply(prev, 0.05, out=b)
+        b *= s
+        a += b
+        a += drive[t]
+        a += 0.1
+        if t < last_start:
+            a[starts > t] = 0.0
+        np.abs(a, out=b)
+        if b.max() > NARMA_DIVERGENCE_LIMIT:
+            ok &= b <= NARMA_DIVERGENCE_LIMIT
+            a[~ok] = 0.0
+        ys[k + t] = a
+    return ys[k:].T, ok
+
+
 def _narma_outputs(u: np.ndarray, n: int, n_terms: int) -> np.ndarray | None:
     """The NARMA-n outputs driven by ``u``, or None once |y| passes the
     divergence limit. Window sums run on plain floats in the order of

@@ -31,6 +31,8 @@ from pulserc import (
 )
 import pulserc.cli as cli
 import pulserc.harness as harness
+import pulserc.readout as readout
+from pulserc.readout import normal_equations
 from pulserc.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -304,19 +306,24 @@ class TestTaskMemo:
         return calls
 
     def test_equal_tasks_drawn_once(self, monkeypatch):
-        calls = self._count(monkeypatch, "gen_narma")
+        scalar = self._count(monkeypatch, "gen_narma")
+        lockstep = self._count(monkeypatch, "gen_narma_lockstep")
+
+        def drawn():
+            return len(scalar) + sum(len(cfgs) for cfgs, *_ in lockstep)
         records = run_sweep(small_spec(replications=2),
                             [("order", [2, 3]), ("num_nodes", [7, 12])])
         assert len(records) == 4
         # V changes inside each order, so each order's two series are drawn
         # for its first point and reused for its second
-        assert len(calls) == 4
+        assert drawn() == 4
         # the memo lives for one call: each experiment draws its own two
         # series, whatever ran before it
-        calls.clear()
+        scalar.clear()
+        lockstep.clear()
         for flag in (False, True):
             run_experiment(small_spec(replications=2, standardize=flag))
-        assert len(calls) == 4
+        assert drawn() == 4
 
     @pytest.mark.parametrize("task", ["narma", "surrogate"])
     @pytest.mark.parametrize("field", ["task", *_TASK_FIELD_CHANGES])
@@ -326,9 +333,23 @@ class TestTaskMemo:
         second = replace(first, **{field: _TASK_FIELD_CHANGES.get(field, other_task)})
         # the two points one after the other, sharing one memo as a sweep's
         # points do; each fresh run has a memo of its own
-        swept = list(harness._run_points([first, second], {}))
+        swept = list(harness._run_points([first, second]))
         fresh = [run_experiment(first), run_experiment(second)]
         assert all(map(same_records, swept, fresh))
+
+    def test_csv_sweep_reads_the_file_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+        data.write_text("u,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
+        calls = self._count(monkeypatch, "load_csv_task")
+        base = small_spec(task="csv", csv_input=str(data), csv_target="column:y",
+                          standardize=True, noise_sigma=0.01)
+        axes = [("alpha", [0.5, 0.7, 0.9]), ("num_nodes", [7, 12])]
+        records = run_sweep(base, axes)
+        assert len(records) == 6 and len(calls) == 1
+        for rec, spec in zip(records, _sweep_points(base, axes)):
+            assert same_records(rec, run_experiment(spec))
 
     def test_csv_read_again_after_rewrite(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
@@ -467,6 +488,42 @@ class TestDriveGroups:
                   [("ridge_lambda", [1e-8, 1e-4])])
         assert sum(rows) == replications
 
+    @pytest.mark.parametrize("grid", [(), (1e-6, 1e-2)])
+    def test_order_points_share_grams_and_factors(self, monkeypatch, grid):
+        replications = 3
+        grams, factors = [], []
+        real_system = readout.normal_equations
+        real_factor = readout.cho_factor
+
+        def system(*args, **kwargs):
+            grams.append(args[0].shape)
+            return real_system(*args, **kwargs)
+        # fit_ridge finds normal_equations in readout, the harness its own
+        monkeypatch.setattr(readout, "normal_equations", system)
+        monkeypatch.setattr(harness, "normal_equations", system)
+        monkeypatch.setattr(readout, "cho_factor", lambda *a, **k:
+                            factors.append(1) or real_factor(*a, **k))
+        rows = self._count_rows(monkeypatch)
+        draws = TestTaskMemo._count(monkeypatch, "gen_narma")
+        lockstep = TestTaskMemo._count(monkeypatch, "gen_narma_lockstep")
+        records = run_sweep(small_spec(replications=replications, lambda_grid=grid),
+                            [("order", [2, 3, 4])])
+        assert sum(rows) == replications
+        # the 9 series are drawn in one lockstep pass
+        assert len(draws) == 0 and len(lockstep) == 1
+        # one Gram per driven row (and one of the grid's fit rows), one
+        # factor per ridge strength a row needs: not one per point
+        assert len(grams) == replications * (1 + bool(grid))
+        chosen = [len({rec.lambda_reps[r] for rec in records})
+                  for r in range(replications)]
+        assert len(factors) == replications * len(grid) + (
+            sum(chosen) if grid else replications)
+        monkeypatch.undo()
+        for rec, spec in zip(records, _sweep_points(
+                small_spec(replications=replications, lambda_grid=grid),
+                [("order", [2, 3, 4])])):
+            assert same_records(rec, run_experiment(spec))
+
     def test_redrawn_input_gets_its_own_drive(self, monkeypatch):
         base = small_spec(replications=3, seed=4)
         task_seeds = [harness.derive_seed(base.seed, r, harness._STREAM_TASK)
@@ -505,36 +562,51 @@ class TestLambdaGrid:
     GRID = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
     @staticmethod
-    def training_rows(num_nodes, train_len=300):
-        spec = small_spec(num_nodes=num_nodes, train_len=train_len)
+    def driven(num_nodes, train_len=300, **overrides):
+        """A spec, one driven state matrix, and the NARMA-2 and NARMA-3
+        targets of its input row."""
+        spec = small_spec(num_nodes=num_nodes, train_len=train_len, **overrides)
         ds = gen_narma(NarmaConfig(2, spec.total_len, 5))
         states = run(ds.inputs, generate_mask(num_nodes, 9),
                      spec.reservoir_params(), washout=spec.washout)
-        return (states[: spec.train_len],
-                ds.targets[spec.washout: spec.washout + spec.train_len])
+        u = ds.inputs.tolist()
+        y3 = [0.0] * len(u)
+        for t in range(4, len(u)):
+            y3[t] = (0.3 * y3[t - 1] + 0.05 * y3[t - 1] * sum(y3[t - 4:t])
+                     + 1.5 * u[t - 1] * u[t - 3] + 0.1)
+        return spec, states, {0: ds.targets, 1: np.array(y3)}
 
     @pytest.mark.parametrize("num_nodes", [7, 100])
     def test_bitwise_equal_to_per_lambda_fits(self, num_nodes):
-        r, y = self.training_rows(num_nodes)
-        n_fit = int(0.8 * len(y))
-        fits = harness._grid_fits(r, y, self.GRID)
-        want_errs = []
-        for lam, (w, err) in zip(self.GRID, fits):
-            want = fit_ridge_reference(r[:n_fit], y[:n_fit], lam)
-            want_errs.append(nrmse(y[n_fit:], r[n_fit:] @ want))
-            assert w.ridge_lambda == lam
-            assert np.array_equal(w.weights, want)
-        assert np.array_equal([err for _, err in fits], want_errs)
-        chosen = harness._select_lambda(r, y, self.GRID)
-        assert chosen == self.GRID[int(np.argmin(want_errs))]
-        assert np.array_equal(fit_ridge(r, y, chosen).weights,
-                              fit_ridge_reference(r, y, chosen))
+        spec, states, targets = self.driven(num_nodes, lambda_grid=self.GRID)
+        r = states[: spec.train_len]
+        train = slice(spec.washout, spec.washout + spec.train_len)
+        n_fit = int(0.8 * spec.train_len)
+        # two points share one driven row, its Grams and its factors
+        fits = harness._fit_drive([spec, replace(spec, order=3)], states, targets)
+        for i, y in targets.items():
+            y = y[train]
+            system = normal_equations(r[:n_fit], y[:n_fit])
+            want_errs = []
+            for lam in self.GRID:
+                want = fit_ridge_reference(r[:n_fit], y[:n_fit], lam)
+                w = system.solver(lam)(system.rhs)
+                assert w.ridge_lambda == lam
+                assert np.array_equal(w.weights, want)
+                want_errs.append(nrmse(y[n_fit:], r[n_fit:] @ want))
+            chosen = self.GRID[int(np.argmin(want_errs))]
+            _, _, lam, yhat, weights = fits[i]
+            assert lam == chosen
+            assert np.array_equal(weights, fit_ridge_reference(r, y, chosen))
+            assert np.array_equal(weights, fit_ridge(r, y, chosen).weights)
+            assert np.array_equal(yhat, states[spec.train_len:] @ weights)
 
     def test_zero_lambda_on_short_fit_slice_is_singular(self):
         # 100 training rows leave 80 to fit 101 weights
-        r, y = self.training_rows(100, train_len=100)
-        with pytest.raises(SingularSystemError):
-            harness._select_lambda(r, y, (1e-6, 0.0))
+        spec, states, targets = self.driven(100, train_len=100,
+                                            lambda_grid=(1e-6, 0.0))
+        fits = harness._fit_drive([spec, spec], states, targets)
+        assert all(isinstance(f, SingularSystemError) for f in fits.values())
         with pytest.raises(SingularSystemError, match="replication 0"):
             run_experiment(small_spec(num_nodes=100, train_len=100,
                                       lambda_grid=(1e-6, 0.0)))
@@ -747,6 +819,23 @@ class TestCli:
         path = self._spec_file(tmp_path, **overrides)
         assert main([command, "--spec", str(path), *args]) == 2
         assert "NARMA-30 diverged" in capsys.readouterr().err
+        # checked before the results file is opened: no file, so no row
+        assert not (tmp_path / "res.tsv").exists()
+
+    def test_csv_too_short_for_a_later_point_is_spec_error(self, tmp_path,
+                                                           monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+        data.write_text("u,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
+        path = self._spec_file(tmp_path, task="csv", csv_input=str(data),
+                               csv_target="column:y")
+        self._forbid_compute(monkeypatch)
+        # washout + train + test is 300 for the first point, 600 for the second
+        assert main(["sweep", "--spec", str(path), "--axis", "train_len=200,500",
+                     "--replications", "2"]) == 2
+        assert "provides 400 samples but washout+train+test needs 600" in \
+            capsys.readouterr().err
         # checked before the results file is opened: no file, so no row
         assert not (tmp_path / "res.tsv").exists()
 

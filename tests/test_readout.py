@@ -121,6 +121,37 @@ class TestNormalEquations:
         with pytest.raises(DimensionError):
             normal_equations(np.zeros((5, 2)), np.zeros(6))
 
+    @pytest.mark.parametrize("where, value", [
+        ("states", math.nan), ("states", math.inf), ("states", -math.inf),
+        ("targets", math.nan), ("targets", math.inf),
+    ])
+    def test_non_finite_input_is_parameter_error(self, where, value):
+        rng = np.random.default_rng(9)
+        r = rng.standard_normal((20, 4))
+        y = rng.standard_normal(20)
+        if where == "states":
+            r[3, 1] = value
+        else:
+            y[3] = value
+        for fit in (lambda: fit_ridge(r, y, 1e-6),
+                    lambda: normal_equations(r, y),
+                    lambda: normal_equations(r, np.stack([y, y]))):
+            with pytest.raises(ParameterError, match="finite"):
+                fit()
+
+    def test_stacked_targets_solve_as_their_own_fits(self):
+        rng = np.random.default_rng(10)
+        r = rng.standard_normal((60, 9))
+        ys = rng.standard_normal((3, 60))
+        system = normal_equations(r, ys)
+        assert system.rhs.shape == (3, 9)
+        for lam in (0.0, 1e-6, 1.0):
+            solve = system.solver(lam)
+            for y, rhs in zip(ys, system.rhs):
+                w = solve(rhs)
+                assert w.ridge_lambda == lam
+                assert np.array_equal(w.weights, fit_ridge(r, y, lam).weights)
+
 
 class TestPredict:
     def test_zero_weights(self):

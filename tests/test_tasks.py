@@ -18,6 +18,7 @@ from pulserc import (
 )
 from pulserc.tasks import (
     NARMA_DIVERGENCE_LIMIT,
+    gen_narma_lockstep,
     _PAIRWISE_MIN_TERMS,
     _PUMP_AR_POLE,
     _PUMP_SCALE,
@@ -164,6 +165,64 @@ class TestGenNarma:
         ds = gen_narma(NarmaConfig(order=2, length=100, seed=3))
         assert ds.length == 100 and ds.name == "narma2"
         assert not hasattr(ds, "train_len")
+
+
+class TestNarmaLockstep:
+    @staticmethod
+    def assert_each_equals_gen_narma(cfgs, compat):
+        """Every lockstep row equals its own scalar draw, effective seed
+        included; a row is None exactly where the scalar draw raises.
+        Returns the rows' redraw counts, None for a row that has none."""
+        redraws = []
+        for cfg, got in zip(cfgs, gen_narma_lockstep(cfgs, compat)):
+            if got is None:
+                with pytest.raises(DivergenceError):
+                    gen_narma(cfg, compat_sum=compat)
+                redraws.append(None)
+                continue
+            want = gen_narma(cfg, compat_sum=compat)
+            assert np.array_equal(got.inputs, want.inputs)
+            assert np.array_equal(got.targets, want.targets)
+            assert got.meta == want.meta and got.name == want.name
+            redraws.append(got.meta["effective_seed"] - cfg.seed)
+        return redraws
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_mixed_orders_bitwise_equal_to_gen_narma(self, compat):
+        # every order whose window has fewer than 8 terms, in one batch
+        orders = range(1, 8 if compat else 7)
+        cfgs = [NarmaConfig(order, 800, seed)
+                for seed in (1, 2, 42) for order in orders]
+        assert set(self.assert_each_equals_gen_narma(cfgs, compat)) == {0}
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_redraws_bitwise_equal_to_gen_narma(self, compat):
+        # a wider input range makes rows diverge: some are redrawn, and
+        # some diverge for every seed
+        orders = range(1, 8 if compat else 7)
+        cfgs = [NarmaConfig(order, 400, seed, input_high=0.9)
+                for seed in (5, 6) for order in orders]
+        redraws = self.assert_each_equals_gen_narma(cfgs, compat)
+        assert None in redraws
+        assert max(r for r in redraws if r is not None) > 0
+
+    def test_input_products_past_the_float_range_diverge(self):
+        # 1.5 u u overflows: gen_narma's plain floats diverge without a
+        # warning, and so must the lockstep rows
+        cfgs = [NarmaConfig(2, 200, seed, input_high=1e200) for seed in (1, 2)]
+        assert self.assert_each_equals_gen_narma(cfgs, False) == [None, None]
+
+    def test_one_row(self):
+        cfg = NarmaConfig(3, 300, 11)
+        [got] = gen_narma_lockstep([cfg])
+        assert np.array_equal(got.targets, gen_narma(cfg).targets)
+
+    def test_long_window_or_mixed_lengths_rejected(self):
+        gen_narma_lockstep([NarmaConfig(7, 100, 1)], compat_sum=True)
+        with pytest.raises(ParameterError, match="8 terms"):
+            gen_narma_lockstep([NarmaConfig(7, 100, 1)])
+        with pytest.raises(ParameterError, match="one length"):
+            gen_narma_lockstep([NarmaConfig(2, 100, 1), NarmaConfig(2, 101, 1)])
 
 
 class TestLoadCsv:
