@@ -203,8 +203,10 @@ def run_sweep(
     read as its field's type, as a spec file reads it. Every point is
     validated, and the series checked as :func:`_run_points` does, before
     any compute and before ``out_path`` is opened. Points that differ only
-    in ``order`` and ``ridge_lambda`` share their reservoir drives, Grams
-    and Cholesky factors. Records come back in lexicographic order over
+    in ``order``, ``ridge_lambda``, ``alpha``, ``beta`` and ``gain_c`` are
+    driven together, one replication's rows sharing a noise draw; those
+    that differ only in ``order`` and ``ridge_lambda`` share their drives,
+    Grams and Cholesky factors. Records come back in lexicographic order over
     the axes as given and are streamed to ``out_path`` (unless None), each
     once it and every earlier point are done.
     """
@@ -366,7 +368,11 @@ def _run_points(specs: list[ExperimentSpec]):
     generator of their records (:func:`_run_groups`).
 
     Points that differ only in ``order`` and ``ridge_lambda``, which only
-    the targets and the readout read, form a drive group. Each CSV task is
+    the targets and the readout read, or in ``alpha``, ``beta`` and
+    ``gain_c``, which the drive kernel takes per row, form a drive group
+    (:func:`_drive_group`). ``pulse_period``, ``bandwidth_time``,
+    ``noise_sigma`` and ``num_nodes`` stay in the group key: the kernel
+    takes one of each per block. Each CSV task is
     read once: the call's snapshot of its file. A CSV shorter than any of
     its points, or a NARMA order that diverges while the first group's
     series are built or at replication 0 of a later task, is a SpecError
@@ -374,7 +380,8 @@ def _run_points(specs: list[ExperimentSpec]):
     """
     groups: dict[ExperimentSpec, list[int]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault(replace(spec, order=0, ridge_lambda=0.0), []).append(i)
+        key = replace(spec, order=0, ridge_lambda=0.0, alpha=0.0, beta=0.0, gain_c=0.0)
+        groups.setdefault(key, []).append(i)
     members = list(groups.values())
     first_keys = {_task_key(specs[i]) for i in members[0]}
     memo: dict = {}
@@ -434,8 +441,10 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], memo: dic
 
 def _group_series(specs: list[ExperimentSpec], group: list[int], memo: dict) -> dict:
     """Each point's (inputs, targets) from :func:`_replication_series`, or
-    the library error that stopped it. The group's missing NARMA rows whose
-    window has fewer than 8 terms are drawn first, in one lockstep pass."""
+    the library error that stopped it; a group's points of one task differ
+    in no other field the series read, so they share one pair of arrays.
+    The group's missing NARMA rows whose window has fewer than 8 terms are
+    drawn first, in one lockstep pass."""
     wanted = {_task_key(specs[i]): specs[i] for i in group if specs[i].task == "narma"
               and specs[i].order + (not specs[i].compat_narma_sum) < _PAIRWISE_MIN_TERMS}
     rows = [(key, spec, r) for key, spec in wanted.items()
@@ -450,13 +459,15 @@ def _group_series(specs: list[ExperimentSpec], group: list[int], memo: dict) -> 
             # it, are left to gen_narma, which raises for it
             if ds is not None and len(drawn) == r:
                 drawn.append(ds)
-    series: dict = {}
+    built: dict = {}
     for i in group:
-        try:
-            series[i] = _replication_series(specs[i], memo)
-        except PulseRcError as exc:
-            series[i] = exc
-    return series
+        key = _task_key(specs[i])
+        if key not in built:
+            try:
+                built[key] = _replication_series(specs[i], memo)
+            except PulseRcError as exc:
+                built[key] = exc
+    return {i: built[_task_key(specs[i])] for i in group}
 
 
 def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
@@ -465,37 +476,40 @@ def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
     replication order, or the library error that stopped it (as an error
     in ``series`` does).
 
-    Each distinct (replication, input row) of the group is driven once, in
-    blocks of at most ``_DRIVE_BLOCK_BYTES`` of state matrices, and fitted
-    once for all the points whose row it is (:func:`_fit_drive`). A NARMA
-    row differs between orders only where one of them redrew its series.
+    Each distinct (replication, alpha, beta, gain_c, input row) of the
+    group is driven once, in blocks of at most ``_DRIVE_BLOCK_BYTES`` of
+    state matrices, and fitted once for all the points whose row it is
+    (:func:`_fit_drive`). A NARMA row differs between orders only where
+    one of them redrew its series. Drives run replication-major, so the
+    rows of one replication, which share its mask and noise seed, sit
+    together in a block and share one noise draw.
     """
     outcomes = {i: s if isinstance(s, Exception) else [] for i, s in series.items()}
     live = [i for i, out in outcomes.items() if isinstance(out, list)]
     if not live:
         return outcomes
     lead = specs[live[0]]
-    users: dict[tuple[int, bytes], list[int]] = {}
+    users: dict[tuple, list[int]] = {}
     # replication-major, so every point fits its replications in order
     for r in range(lead.replications):
         for i in live:
-            users.setdefault((r, series[i][0][r].tobytes()), []).append(i)
-    drives = [(r, points) for (r, _), points in users.items()]
+            spec = specs[i]
+            users.setdefault((r, spec.alpha, spec.beta, spec.gain_c,
+                              series[i][0][r].tobytes()), []).append(i)
+    drives = [(r, points) for (r, *_), points in users.items()]
     del users
-    masks = np.stack([
-        generate_mask(lead.num_nodes, derive_seed(lead.mask_seed, r, _STREAM_MASK),
-                      lead.mask_kind).weights
-        for r, _ in drives])
-    noise_seeds = [derive_seed(lead.seed, r, _STREAM_NOISE) for r, _ in drives]
-    params = lead.reservoir_params()
+    masks = [generate_mask(lead.num_nodes, derive_seed(lead.mask_seed, r, _STREAM_MASK),
+                           lead.mask_kind).weights for r in range(lead.replications)]
+    params = [replace(specs[points[0]].reservoir_params(),
+                      seed=derive_seed(lead.seed, r, _STREAM_NOISE)) for r, points in drives]
     rep_bytes = lead.total_len * (lead.num_nodes + 1) * 8
     block = max(1, min(len(drives), _DRIVE_BLOCK_BYTES // rep_bytes))
 
     for first in range(0, len(drives), block):
         rows = slice(first, first + block)
         inputs = np.stack([series[points[0]][0][r] for r, points in drives[rows]])
-        states = drive_block(inputs, masks[rows], params, noise_seeds[rows],
-                             lead.washout)
+        states = drive_block(inputs, np.stack([masks[r] for r, _ in drives[rows]]),
+                             params[rows], lead.washout)
         for (r, points), rep_states in zip(drives[rows], states):
             targets = {i: series[i][1][r] for i in points
                        if isinstance(outcomes[i], list)}

@@ -244,50 +244,53 @@ def run(
     if len(mask) != params.num_nodes:
         raise DimensionError(
             f"mask length {len(mask)} != num_nodes {params.num_nodes}")
-    return drive_block(u[None, :], mask.weights[None, :], params,
-                       [params.seed], washout)[0]
+    return drive_block(u[None, :], mask.weights[None, :], [params], washout)[0]
 
 
 def drive_block(
     inputs: np.ndarray,
     masks: np.ndarray,
-    params: ReservoirParams,
-    noise_seeds,
+    params: list[ReservoirParams],
     washout: int,
 ) -> np.ndarray:
     """Advance G independent reservoirs in lockstep (internal kernel).
 
     Row g of ``inputs`` (G, L) drives a reservoir with input weights
-    ``masks[g]`` (G, V) and, when noise is on, a noise stream seeded with
-    ``noise_seeds[g]``; ``params.seed`` is not used. Returns the
-    (G, L - washout, V + 1) state matrices, each bitwise equal to a
-    :func:`step` loop from the zero state: every ufunc applies ``step``'s
-    operands in ``step``'s order, and noise is drawn for every step, so
-    the stream does not depend on the washout. Arguments are trusted;
-    :func:`run` checks them.
+    ``masks[g]`` (G, V) and the constants ``params[g]``, which may differ
+    from row to row only in alpha, beta, gain_c and seed; when noise is on,
+    ``params[g].seed`` seeds its noise stream, and rows that share a seed
+    share one draw. Returns the (G, L - washout, V + 1) state matrices,
+    each bitwise equal to a :func:`step` loop from the zero state: every
+    ufunc applies ``step``'s operands in ``step``'s order, and noise is
+    drawn for every step, so the stream does not depend on the washout.
+    Arguments are trusted; :func:`run` checks them.
 
     The steps run in chunks of ``_NOISE_CHUNK``: the input products and
-    the noise of a chunk are formed in one call each, its rows are written
-    to a chunk buffer and copied past the washout in one slice, and only
-    the feedback-dependent ufuncs run per step.
+    the noise of a chunk are formed in one call each (per seed), its rows
+    are written to a chunk buffer and copied past the washout in one
+    slice, and only the feedback-dependent ufuncs run per step.
     """
     g, length = inputs.shape
-    v = params.num_nodes
-    eps = params.coupling
-    two_term = params.filter_mode == "two_term"
+    lead = params[0]
+    v, eps, sigma = lead.num_nodes, lead.coupling, lead.noise_sigma
+    two_term = lead.filter_mode == "two_term"
     if not two_term:
         # imported on first use: it loads slower than the whole package
         from scipy.signal import lfilter
-    alpha, gain = params.alpha, params.gain_c
-    drive_gain = gain * (1.0 - eps)
     out = np.empty((g, length - washout, v + 1))
     out[:, :, v] = 1.0
 
     # The per-step buffers are node-major, (V, G) per step with the G
-    # reservoirs innermost, so every per-step operand is one contiguous
-    # block and a node's predecessor sits one block of G entries earlier.
+    # reservoirs innermost, so every per-step operand, the per-row alpha
+    # and gain included, is one contiguous block and a node's predecessor
+    # sits one block of G entries earlier.
     chunk = _NOISE_CHUNK
-    input_weights = (params.beta * masks).T
+    input_weights = (np.array([p.beta for p in params])[:, None] * masks).T
+    alpha = np.tile([p.alpha for p in params], (v, 1))
+    # the gain multiply is exact, so skip it when every row's gain is 1
+    mix_to_row = two_term and all(p.gain_c == 1.0 for p in params)
+    gain = np.tile([p.gain_c if two_term else p.gain_c * (1.0 - eps)
+                    for p in params], (v, 1))
     phi = np.empty((chunk, v, g))
     # a chunk's rows; the last slot starts as the zero state and carries
     # the previous chunk's last row into the next chunk's first step
@@ -302,18 +305,20 @@ def drive_block(
     ring = np.zeros((chunk * v + 1, g))
     carry = np.zeros((1, g))  # low-pass state of the "full" filter
 
-    sigma = params.noise_sigma
-    rngs = [np.random.default_rng(seed) for seed in noise_seeds if sigma > 0.0]
+    # one generator per distinct seed, and the columns its draws go to
+    streams: dict[int, list[int]] = {}
+    for col, p in enumerate(params if sigma > 0.0 else ()):
+        streams.setdefault(p.seed, []).append(col)
+    rngs = [(np.random.default_rng(seed), cols) for seed, cols in streams.items()]
     views = [(phi[j], rows[j - 1], rows[j], ring[j * v:(j + 1) * v],
               ring[j * v + 1:(j + 1) * v + 1], noise[j]) for j in range(chunk)]
-    mix_to_row = gain == 1.0  # the gain multiply is exact, so skip it at 1
 
     for k0 in range(0, length, chunk):
         steps = min(chunk, length - k0)
         np.multiply(input_weights, inputs[:, k0:k0 + steps].T[:, None, :],
                     out=phi[:steps])
-        for r, rng in enumerate(rngs):
-            noise[:steps, :, r] = rng.normal(0.0, sigma, (steps, v))
+        for rng, cols in rngs:
+            noise[:steps, :, cols] = rng.normal(0.0, sigma, (steps, v, 1))
         for phi_j, prev, row, predecessors, eps_sines, noise_j in views[:steps]:
             np.multiply(alpha, prev, out=feedback)
             np.add(phi_j, feedback, out=phi_j)
@@ -327,7 +332,7 @@ def drive_block(
                     np.add(predecessors, mixed, out=mixed)
                     np.multiply(gain, mixed, out=row)
             else:
-                np.multiply(drive_gain, sines, out=mixed)
+                np.multiply(gain, sines, out=mixed)
                 row[...], _ = lfilter([1.0], [1.0, -eps], mixed, axis=0,
                                       zi=eps * carry)
                 carry[0] = row[-1]

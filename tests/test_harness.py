@@ -543,6 +543,47 @@ class TestDriveGroups:
         for rec, spec in zip(records, _sweep_points(base, [("order", [2, 10])])):
             assert same_records(rec, run_experiment(spec))
 
+    @staticmethod
+    def _csv_spec(tmp_path, **overrides) -> ExperimentSpec:
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+        data.write_text("u,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
+        return small_spec(task="csv", csv_input=str(data), csv_target="column:y",
+                          standardize=True, **overrides)
+
+    @pytest.mark.parametrize("task", ["narma", "csv"])
+    def test_reservoir_constant_sweep_equals_standalone_runs(self, tmp_path, task):
+        base = small_spec(replications=3, noise_sigma=0.01)
+        if task == "csv":
+            base = self._csv_spec(tmp_path, replications=3, noise_sigma=0.01)
+        axes = [("alpha", [0.5, 0.9]), ("beta", [0.5, 1.0]), ("gain_c", [1.0, 1.7])]
+        records = run_sweep(base, axes)
+        points = _sweep_points(base, axes)
+        assert len(records) == len(points) == 8
+        for rec, spec in zip(records, points):
+            assert same_records(rec, run_experiment(spec))
+
+    def test_alpha_points_share_blocks_and_noise_draws(self, tmp_path, monkeypatch):
+        base = self._csv_spec(tmp_path, num_nodes=100, replications=4, noise_sigma=0.01)
+        axes = [("alpha", [0.5, 0.7, 0.9])]
+        noise_seeds = {harness.derive_seed(base.seed, r, harness._STREAM_NOISE)
+                       for r in range(base.replications)}
+        streams = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: streams.append(
+            seed in noise_seeds) or real_rng(seed))
+        monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES",
+                            3 * base.total_len * (base.num_nodes + 1) * 8)
+        rows = self._count_rows(monkeypatch)
+        records = run_sweep(base, axes)
+        # one block per replication, its three alphas drawing one stream;
+        # one group per alpha would drive blocks of 3 and 1 and draw 12
+        assert rows == [3, 3, 3, 3] and sum(streams) == 4
+        monkeypatch.undo()
+        for rec, spec in zip(records, _sweep_points(base, axes)):
+            assert same_records(rec, run_experiment(spec))
+
     def test_group_duration_is_split_over_its_points(self):
         records = run_sweep(small_spec(replications=1),
                             [("ridge_lambda", [1e-8, 1e-4])])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -307,14 +308,15 @@ class TestRun:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def step_loop(inputs, masks, params, seeds, washout):
+def step_loop(inputs, masks, params, washout):
     """The drive kernel's reference: one ``step`` per sample and row, from
-    the zero state, with one noise generator per row."""
+    the zero state, with the row's constants and one noise generator per
+    row, seeded with its seed."""
     out = []
-    for u, w, seed in zip(inputs, masks, seeds):
-        state, rng, rows = zero_state(params), np.random.default_rng(seed), []
+    for u, w, p in zip(inputs, masks, params):
+        state, rng, rows = zero_state(p), np.random.default_rng(p.seed), []
         for k, value in enumerate(u):
-            state, row = step(state, float(value), Mask(w), params, rng=rng)
+            state, row = step(state, float(value), Mask(w), p, rng=rng)
             if k >= washout:
                 rows.append(np.append(row, 1.0))
         out.append(rows)
@@ -348,9 +350,9 @@ class TestDriveBlock:
                                  filter_mode=filter_mode)
         inputs = rng.uniform(-1.0, 1.0, (g, length))
         masks = np.array([generate_mask(v, 10 + i).weights for i in range(g)])
-        seeds = [int(s) for s in rng.integers(0, 2**32, g)]
-        got = drive_block(inputs, masks, params, seeds, washout)
-        want = step_loop(inputs, masks, params, seeds, washout)
+        rows = [replace(params, seed=int(s)) for s in rng.integers(0, 2**32, g)]
+        got = drive_block(inputs, masks, rows, washout)
+        want = step_loop(inputs, masks, rows, washout)
         assert got.shape == (g, length - washout, v + 1)
         assert np.array_equal(got, want)
 
@@ -361,25 +363,47 @@ class TestDriveBlock:
         inputs = np.random.default_rng(5).uniform(0, 0.5, (2, 600))
         masks = np.array([generate_mask(3, 1).weights,
                           generate_mask(3, 2).weights])
-        got = drive_block(inputs, masks, params, [8, 9], 50)
-        assert np.array_equal(got, step_loop(inputs, masks, params, [8, 9], 50))
+        rows = [replace(params, seed=8), replace(params, seed=9)]
+        got = drive_block(inputs, masks, rows, 50)
+        assert np.array_equal(got, step_loop(inputs, masks, rows, 50))
 
     def test_rows_are_independent(self):
         params = ReservoirParams(num_nodes=5, alpha=0.7, beta=1.0,
                                  noise_sigma=0.01)
         inputs = np.random.default_rng(6).uniform(0, 0.5, (3, 60))
         masks = np.array([generate_mask(5, s).weights for s in (1, 2, 3)])
-        block = drive_block(inputs, masks, params, [4, 5, 6], 10)
-        alone = drive_block(inputs[1:2], masks[1:2], params, [5], 10)
+        rows = [replace(params, seed=s) for s in (4, 5, 6)]
+        block = drive_block(inputs, masks, rows, 10)
+        alone = drive_block(inputs[1:2], masks[1:2], rows[1:2], 10)
         assert np.array_equal(block[1], alone[0])
+
+    @pytest.mark.parametrize("g", [1, 3, 10])
+    @pytest.mark.parametrize("v", [1, 2, 35, 100])
+    @pytest.mark.parametrize("filter_mode", ["two_term", "full"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
+    def test_mixed_rows_equal_rows_alone(self, g, v, filter_mode, noise_sigma):
+        # per-row alpha, beta and gain_c (1.0 and 1.7 in one block), rows
+        # sharing a noise seed three at a time, as a sweep's replication
+        # does, and a washout that ends in the second chunk
+        rng = np.random.default_rng(100 * g + v)
+        rows = [ReservoirParams(num_nodes=v, alpha=(0.5, 0.8, 1.1)[k % 3],
+                                beta=(0.7, 1.2)[k % 2], gain_c=(1.0, 1.7)[k // 2 % 2],
+                                noise_sigma=noise_sigma, seed=20 + k // 3,
+                                filter_mode=filter_mode) for k in range(g)]
+        inputs = rng.uniform(-1.0, 1.0, (g, 150))
+        masks = np.array([generate_mask(v, 10 + k // 3).weights for k in range(g)])
+        block = drive_block(inputs, masks, rows, 70)
+        for k in range(g):
+            alone = drive_block(inputs[k:k + 1], masks[k:k + 1], rows[k:k + 1], 70)
+            assert np.array_equal(block[k], alone[0])
+        assert np.array_equal(block, step_loop(inputs, masks, rows, 70))
 
     def test_run_uses_params_seed(self):
         params = ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0,
                                  noise_sigma=0.02, seed=13)
         mask = generate_mask(4, 2)
         inputs = np.random.default_rng(7).uniform(0, 0.5, 30)
-        want = step_loop(inputs[None, :], mask.weights[None, :], params,
-                         [13], 5)[0]
+        want = step_loop(inputs[None, :], mask.weights[None, :], [params], 5)[0]
         assert np.array_equal(run(inputs, mask, params, washout=5), want)
 
 
