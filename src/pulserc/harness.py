@@ -201,8 +201,8 @@ def run_sweep(
 
     Axis values may be numbers or text (as the CLI passes them); each is
     read as its field's type, as a spec file reads it. Every point is
-    validated, and the series checked as :func:`_run_points` does, before
-    any compute and before ``out_path`` is opened. Points that differ only
+    validated, and every series it reads is built (:func:`_run_points`),
+    before any compute and before ``out_path`` is opened. Points that differ only
     in ``order``, ``ridge_lambda``, ``alpha``, ``beta`` and ``gain_c`` are
     driven together, one replication's rows sharing a noise draw; those
     that differ only in ``order`` and ``ridge_lambda`` share their drives,
@@ -364,74 +364,50 @@ def _fmt_value(v, exact: bool = False) -> str:
 # replication pipeline
 
 def _run_points(specs: list[ExperimentSpec]):
-    """Check and build what the points of ``specs`` share, then return a
-    generator of their records (:func:`_run_groups`).
+    """Build every series the points of ``specs`` read (:func:`_series`),
+    then return a generator of their records (:func:`_run_groups`).
 
     Points that differ only in ``order`` and ``ridge_lambda``, which only
     the targets and the readout read, or in ``alpha``, ``beta`` and
     ``gain_c``, which the drive kernel takes per row, form a drive group
     (:func:`_drive_group`). ``pulse_period``, ``bandwidth_time``,
     ``noise_sigma`` and ``num_nodes`` stay in the group key: the kernel
-    takes one of each per block. Each CSV task is
-    read once: the call's snapshot of its file. A CSV shorter than any of
-    its points, or a NARMA order that diverges while the first group's
-    series are built or at replication 0 of a later task, is a SpecError
-    before any compute.
+    takes one of each per block. A NARMA order that diverges for every
+    redraw, at any replication of any point, is a SpecError before any
+    compute; any other error of the series stage keeps its type.
     """
     groups: dict[ExperimentSpec, list[int]] = {}
     for i, spec in enumerate(specs):
         key = replace(spec, order=0, ridge_lambda=0.0, alpha=0.0, beta=0.0, gain_c=0.0)
         groups.setdefault(key, []).append(i)
-    members = list(groups.values())
-    first_keys = {_task_key(specs[i]) for i in members[0]}
-    memo: dict = {}
     t0 = time.perf_counter()
     try:
-        for spec in specs:
-            key = _task_key(spec)
-            if spec.task == "csv":
-                if key not in memo:
-                    memo[key] = load_csv_task(spec.csv_input, spec.csv_target)
-                if memo[key].length < spec.total_len:
-                    raise SpecError(f"task {memo[key].name!r} provides {memo[key].length} "
-                                    f"samples but washout+train+test needs {spec.total_len}")
-            elif spec.task == "narma" and key not in first_keys:
-                _generated_tasks(memo, spec, 1)
-        first = _group_series(specs, members[0], memo)
-        for outcome in first.values():
-            if isinstance(outcome, DivergenceError):
-                raise outcome
+        series = _series(specs)
     except DivergenceError as exc:
         raise SpecError(str(exc)) from exc
-    return _run_groups(specs, members, memo, first, t0)
+    share = (time.perf_counter() - t0) / len(specs)
+    return _run_groups(specs, list(groups.values()), series, share)
 
 
-def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], memo: dict,
-                series: dict, t0: float):
+def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: list,
+                share: float):
     """Yield the record of every point, in order, each once it and every
     earlier point are done; a point that failed raises its error in its
     turn, once every earlier point has been yielded.
 
-    ``series`` is the first group's. ``memo`` drops each task once its last
-    group has read it. A group's wall time, its series included, is split
-    evenly over its points' ``duration_s``.
+    A point's ``duration_s`` is ``share``, its part of the series stage,
+    plus an even split of its group's wall time.
     """
-    last_group = {_task_key(specs[i]): g
-                  for g, group in enumerate(members) for i in group}
     done: list = [None] * len(specs)
     emitted = 0
-    for g, group in enumerate(members):
-        if g:
-            t0 = time.perf_counter()
-            series = _group_series(specs, group, memo)
-        for key in [k for k, last in last_group.items() if last == g]:
-            memo.pop(key, None)
-        fits = _drive_group(specs, series)
-        duration = (time.perf_counter() - t0) / len(group)
+    for group in members:
+        t0 = time.perf_counter()
+        fits = _drive_group(specs, group, series)
+        duration = share + (time.perf_counter() - t0) / len(group)
         for i, outcome in fits.items():
             done[i] = (outcome if isinstance(outcome, Exception)
                        else _record(specs[i], outcome, series[i][1], duration))
-        del series, fits
+        del fits
         while emitted < len(specs) and done[emitted] is not None:
             if isinstance(done[emitted], Exception):
                 raise done[emitted]
@@ -439,42 +415,57 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], memo: dic
             emitted += 1
 
 
-def _group_series(specs: list[ExperimentSpec], group: list[int], memo: dict) -> dict:
-    """Each point's (inputs, targets) from :func:`_replication_series`, or
-    the library error that stopped it; a group's points of one task differ
-    in no other field the series read, so they share one pair of arrays.
-    The group's missing NARMA rows whose window has fewer than 8 terms are
-    drawn first, in one lockstep pass."""
-    wanted = {_task_key(specs[i]): specs[i] for i in group if specs[i].task == "narma"
-              and specs[i].order + (not specs[i].compat_narma_sum) < _PAIRWISE_MIN_TERMS}
-    rows = [(key, spec, r) for key, spec in wanted.items()
-            for r in range(len(memo.get(key, ())), spec.replications)]
-    if rows:
+def _series(specs: list[ExperimentSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every point's (inputs, targets) from :func:`_replication_series`.
+
+    Each CSV task is read once, the call's snapshot of its file, and
+    checked against every point's length. Every NARMA row of the call
+    whose window has fewer than 8 terms is drawn in one lockstep pass per
+    (length, sum convention); the others come from
+    :func:`_generated_tasks`. Points whose series read the same task,
+    length and standardize split share one pair of arrays, built at the
+    most replications any of them needs.
+    """
+    memo: dict = {}
+    for spec in specs:
+        key = _task_key(spec)
+        if spec.task == "csv":
+            if key not in memo:
+                memo[key] = load_csv_task(spec.csv_input, spec.csv_target)
+            if memo[key].length < spec.total_len:
+                raise SpecError(f"task {memo[key].name!r} provides {memo[key].length} "
+                                f"samples but washout+train+test needs {spec.total_len}")
+    # sorted by replication count, so that the last spec of a key needs the most
+    by_reps = sorted(specs, key=lambda spec: spec.replications)
+    short = {_task_key(s): s for s in by_reps if s.task == "narma"
+             and s.order + (not s.compat_narma_sum) < _PAIRWISE_MIN_TERMS}
+    passes: dict[tuple, list] = {}
+    for key, spec in short.items():
+        passes.setdefault((spec.total_len, spec.compat_narma_sum), []).extend(
+            (key, spec, r) for r in range(spec.replications))
+    for (_, compat), rows in passes.items():
         cfgs = [NarmaConfig(spec.order, spec.total_len, derive_seed(spec.seed, r, _STREAM_TASK))
                 for _, spec, r in rows]
-        compat = specs[group[0]].compat_narma_sum
         for (key, _, r), ds in zip(rows, gen_narma_lockstep(cfgs, compat)):
             drawn = memo.setdefault(key, [])
             # a row that diverged for every seed, and the task's rows after
             # it, are left to gen_narma, which raises for it
             if ds is not None and len(drawn) == r:
                 drawn.append(ds)
-    built: dict = {}
-    for i in group:
-        key = _task_key(specs[i])
-        if key not in built:
-            try:
-                built[key] = _replication_series(specs[i], memo)
-            except PulseRcError as exc:
-                built[key] = exc
-    return {i: built[_task_key(specs[i])] for i in group}
+
+    def pair_key(s: ExperimentSpec) -> tuple:
+        # the length and the standardize split too, which a CSV task's key
+        # leaves out so that its file is read once
+        return (_task_key(s), s.total_len, s.standardize and s.washout + s.train_len)
+    widest = {pair_key(s): s for s in by_reps}
+    pairs = {key: _replication_series(spec, memo) for key, spec in widest.items()}
+    return [pairs[pair_key(s)] for s in specs]
 
 
-def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
-    """Every outcome of one drive group: for each point ``i`` with its
-    (inputs, targets) in ``series``, its per-replication fits in
-    replication order, or the library error that stopped it (as an error
-    in ``series`` does).
+def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) -> dict:
+    """Every outcome of one drive group: for each point ``i`` of ``group``,
+    with its (inputs, targets) in ``series[i]``, its per-replication fits
+    in replication order, or the library error that stopped it.
 
     Each distinct (replication, alpha, beta, gain_c, input row) of the
     group is driven once, in blocks of at most ``_DRIVE_BLOCK_BYTES`` of
@@ -484,15 +475,12 @@ def _drive_group(specs: list[ExperimentSpec], series: dict) -> dict:
     rows of one replication, which share its mask and noise seed, sit
     together in a block and share one noise draw.
     """
-    outcomes = {i: s if isinstance(s, Exception) else [] for i, s in series.items()}
-    live = [i for i, out in outcomes.items() if isinstance(out, list)]
-    if not live:
-        return outcomes
-    lead = specs[live[0]]
+    outcomes: dict = {i: [] for i in group}
+    lead = specs[group[0]]
     users: dict[tuple, list[int]] = {}
     # replication-major, so every point fits its replications in order
     for r in range(lead.replications):
-        for i in live:
+        for i in group:
             spec = specs[i]
             users.setdefault((r, spec.alpha, spec.beta, spec.gain_c,
                               series[i][0][r].tobytes()), []).append(i)
@@ -557,7 +545,7 @@ def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, n
     if spec.task == "csv":
         series, repeats = (memo[_task_key(spec)],), spec.replications
     else:
-        series = _generated_tasks(memo, spec, spec.replications)
+        series = _generated_tasks(memo, spec)
         repeats = 1
     if spec.standardize:
         series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
@@ -573,14 +561,13 @@ def _task_key(spec: ExperimentSpec) -> tuple:
     return (spec.task, spec.order, spec.compat_narma_sum, spec.total_len, spec.seed)
 
 
-def _generated_tasks(memo: dict, spec: ExperimentSpec,
-                     replications: int) -> list[TaskDataset]:
-    """The first ``replications`` generated (NARMA or surrogate) series of
+def _generated_tasks(memo: dict, spec: ExperimentSpec) -> list[TaskDataset]:
+    """The ``spec.replications`` generated (NARMA or surrogate) series of
     ``spec``'s task. ``memo`` keeps every task's series drawn so far, so the
     points of one sweep that share a task, such as its V = 35 and V = 100
     points of one NARMA order, draw them once."""
     series = memo.setdefault(_task_key(spec), [])
-    for r in range(len(series), replications):
+    for r in range(len(series), spec.replications):
         task_seed = derive_seed(spec.seed, r, _STREAM_TASK)
         with _replication(r):
             if spec.task == "narma":
@@ -588,7 +575,7 @@ def _generated_tasks(memo: dict, spec: ExperimentSpec,
                                         compat_sum=spec.compat_narma_sum))
             else:
                 series.append(gen_surrogate_laser(max(100, spec.total_len), task_seed))
-    return series[:replications]
+    return series[:spec.replications]
 
 
 @contextlib.contextmanager

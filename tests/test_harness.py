@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from pulserc import (
+    DivergenceError,
     ExperimentSpec,
     NarmaConfig,
     ResultRecord,
@@ -325,10 +326,12 @@ class TestTaskMemo:
             run_experiment(small_spec(replications=2, standardize=flag))
         assert drawn() == 4
 
-    @pytest.mark.parametrize("task", ["narma", "surrogate"])
+    @pytest.mark.parametrize("task", ["narma", "surrogate", "csv"])
     @pytest.mark.parametrize("field", ["task", *_TASK_FIELD_CHANGES])
-    def test_key_is_complete(self, task, field):
+    def test_key_is_complete(self, tmp_path, task, field):
         first = small_spec(task=task)
+        if task == "csv":
+            first = TestDriveGroups._csv_spec(tmp_path, standardize=False)
         other_task = "surrogate" if task == "narma" else "narma"
         second = replace(first, **{field: _TASK_FIELD_CHANGES.get(field, other_task)})
         # the two points one after the other, sharing one memo as a sweep's
@@ -336,6 +339,27 @@ class TestTaskMemo:
         swept = list(harness._run_points([first, second]))
         fresh = [run_experiment(first), run_experiment(second)]
         assert all(map(same_records, swept, fresh))
+
+    @pytest.mark.parametrize("axes", [
+        [("seed", [7, 8]), ("num_nodes", [7, 12])],
+        [("replications", [2, 3])],
+    ])
+    def test_every_row_drawn_once_in_one_pass(self, monkeypatch, axes):
+        scalar = self._count(monkeypatch, "gen_narma")
+        lockstep = self._count(monkeypatch, "gen_narma_lockstep")
+        base = small_spec()
+        records = run_sweep(base, axes)
+        points = _sweep_points(base, axes)
+        # every (seed, replication) row of the call, once, in one pass,
+        # however the points split into drive groups
+        rows = {(spec.seed, r) for spec in points for r in range(spec.replications)}
+        assert len(scalar) == 0 and len(lockstep) == 1
+        [(cfgs, *_)] = lockstep
+        assert sorted(cfg.seed for cfg in cfgs) == sorted(
+            harness.derive_seed(seed, r, harness._STREAM_TASK) for seed, r in rows)
+        monkeypatch.undo()
+        for rec, spec in zip(records, points):
+            assert same_records(rec, run_experiment(spec))
 
     def test_csv_sweep_reads_the_file_once(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
@@ -544,13 +568,24 @@ class TestDriveGroups:
             assert same_records(rec, run_experiment(spec))
 
     @staticmethod
-    def _csv_spec(tmp_path, **overrides) -> ExperimentSpec:
+    def _csv_spec(tmp_path, standardize=True, **overrides) -> ExperimentSpec:
         data = tmp_path / "data.csv"
         rng = np.random.default_rng(5)
         data.write_text("u,y\n" + "".join(
             f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
         return small_spec(task="csv", csv_input=str(data), csv_target="column:y",
-                          standardize=True, **overrides)
+                          standardize=standardize, **overrides)
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_csv_length_sweep_equals_standalone_runs(self, tmp_path, standardize):
+        # one file, read once: (200, 80) and (250, 30) have one total length
+        # and two standardize splits, (200, 80) and (200, 30) one split and
+        # two lengths
+        base = self._csv_spec(tmp_path, standardize=standardize, replications=3)
+        axes = [("train_len", [200, 250]), ("test_len", [80, 30])]
+        records = run_sweep(base, axes)
+        for rec, spec in zip(records, _sweep_points(base, axes)):
+            assert same_records(rec, run_experiment(spec))
 
     @pytest.mark.parametrize("task", ["narma", "csv"])
     def test_reservoir_constant_sweep_equals_standalone_runs(self, tmp_path, task):
@@ -878,6 +913,43 @@ class TestCli:
         assert "provides 400 samples but washout+train+test needs 600" in \
             capsys.readouterr().err
         # checked before the results file is opened: no file, so no row
+        assert not (tmp_path / "res.tsv").exists()
+
+    def test_later_group_diverging_is_spec_error(self, tmp_path, monkeypatch, capsys):
+        # one drive group per seed; replication 1 of seed 8's NARMA task
+        # diverges for every redraw
+        bad = harness.derive_seed(8, 1, harness._STREAM_TASK)
+        real_lockstep, real_scalar = harness.gen_narma_lockstep, harness.gen_narma
+
+        def lockstep(cfgs, *args):
+            return [None if cfg.seed == bad else ds
+                    for cfg, ds in zip(cfgs, real_lockstep(cfgs, *args))]
+
+        def scalar(cfg, *args, **kwargs):
+            if cfg.seed == bad:
+                raise DivergenceError(f"NARMA-{cfg.order} diverged")
+            return real_scalar(cfg, *args, **kwargs)
+        monkeypatch.setattr(harness, "gen_narma_lockstep", lockstep)
+        monkeypatch.setattr(harness, "gen_narma", scalar)
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        assert main(["sweep", "--spec", str(path), "--axis", "seed=7,8",
+                     "--replications", "2"]) == 2
+        assert "replication 1: NARMA-2 diverged" in capsys.readouterr().err
+        # checked before the results file is opened: no file, so no row
+        assert not (tmp_path / "res.tsv").exists()
+
+    def test_constant_standardized_input_fails_before_out(self, tmp_path,
+                                                         monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        # constant over washout + train (220 rows), varying after them
+        data.write_text("u,y\n" + "".join(
+            f"{1.0 if t < 220 else t / 400!r},{t / 400!r}\n" for t in range(400)))
+        path = self._spec_file(tmp_path, task="csv", csv_input=str(data),
+                               csv_target="column:y", standardize=True)
+        self._forbid_compute(monkeypatch)
+        assert main(["run", "--spec", str(path)]) == 3
+        assert "constant training input" in capsys.readouterr().err
         assert not (tmp_path / "res.tsv").exists()
 
     def test_bad_axis_exit_code(self, tmp_path):
