@@ -62,9 +62,10 @@ class NormalEquations:
             raise SingularSystemError(
                 f"{self.n_rows} rows cannot determine {n_cols} weights; "
                 "set ridge_lambda > 0")
-        # the same operands as ``gram + lambda * eye`` (+ 0.0 off the
-        # diagonal), in a Fortran-ordered copy that potrf factors in place
-        a = np.add(self.gram, 0.0, order="F")
+        # the operands of ``gram + lambda * eye`` (+ 0.0 off the diagonal)
+        # in a Fortran-ordered copy that potrf factors in place; ``r.T @ r``
+        # is exactly symmetric, so its transpose gives them in memory order
+        a = np.add(self.gram.T, 0.0, order="F")
         a.flat[:: n_cols + 1] += ridge_lambda
         try:
             factor = cho_factor(a, overwrite_a=True, check_finite=False)

@@ -268,7 +268,8 @@ def drive_block(
     The steps run in chunks of ``_NOISE_CHUNK``: the input products and
     the noise of a chunk are formed in one call each (per seed), its rows
     are written to a chunk buffer and copied past the washout in one
-    slice, and only the feedback-dependent ufuncs run per step.
+    slice, and only the feedback-dependent ufuncs run per step, each
+    passed its output by position and its constants as 0-d arrays.
     """
     g, length = inputs.shape
     lead = params[0]
@@ -313,31 +314,32 @@ def drive_block(
     views = [(phi[j], rows[j - 1], rows[j], ring[j * v:(j + 1) * v],
               ring[j * v + 1:(j + 1) * v + 1], noise[j]) for j in range(chunk)]
 
+    mul, add, sin = np.multiply, np.add, np.sin
+    eps_0d, keep_0d = np.array(eps), np.array(1.0 - eps)
     for k0 in range(0, length, chunk):
         steps = min(chunk, length - k0)
-        np.multiply(input_weights, inputs[:, k0:k0 + steps].T[:, None, :],
-                    out=phi[:steps])
+        mul(input_weights, inputs[:, k0:k0 + steps].T[:, None, :], phi[:steps])
         for rng, cols in rngs:
             noise[:steps, :, cols] = rng.normal(0.0, sigma, (steps, v, 1))
         for phi_j, prev, row, predecessors, eps_sines, noise_j in views[:steps]:
-            np.multiply(alpha, prev, out=feedback)
-            np.add(phi_j, feedback, out=phi_j)
-            np.sin(phi_j, out=sines)
+            mul(alpha, prev, feedback)
+            add(phi_j, feedback, phi_j)
+            sin(phi_j, sines)
             if two_term:
-                np.multiply(eps, sines, out=eps_sines)
-                np.multiply(1.0 - eps, sines, out=mixed)
+                mul(eps_0d, sines, eps_sines)
+                mul(keep_0d, sines, mixed)
                 if mix_to_row:
-                    np.add(predecessors, mixed, out=row)
+                    add(predecessors, mixed, row)
                 else:
-                    np.add(predecessors, mixed, out=mixed)
-                    np.multiply(gain, mixed, out=row)
+                    add(predecessors, mixed, mixed)
+                    mul(gain, mixed, row)
             else:
-                np.multiply(gain, sines, out=mixed)
+                mul(gain, sines, mixed)
                 row[...], _ = lfilter([1.0], [1.0, -eps], mixed, axis=0,
                                       zi=eps * carry)
                 carry[0] = row[-1]
             if rngs:
-                np.add(row, noise_j, out=row)
+                add(row, noise_j, row)
         ring[0] = ring[-1]
         first = max(k0, washout)
         if first < k0 + steps:

@@ -30,6 +30,7 @@ _MAX_REDRAWS = 100
 # NumPy's order, so its sequences do not depend on how the sum is computed
 _PAIRWISE_MIN_TERMS = 8
 _PAIRWISE_BLOCK = 128
+_NARMA_CHECK_STEPS = 64  # steps between the lockstep's divergence checks
 
 # fixed constants of the surrogate pump-noise task
 _PUMP_AR_POLE = 0.9          # AR(1) pole of the pump-intensity input
@@ -133,9 +134,10 @@ def gen_narma_lockstep(cfgs: list[NarmaConfig],
     """:func:`gen_narma` of configs of one length whose windows have fewer
     than 8 terms, drawn together: each row bitwise equal to its own draw,
     or None where that raises. The rows advance one NumPy step at a time; a
-    shorter window is padded with leading zeros (0.0 + x == x). A row past
-    the divergence limit is reset to 0, so nothing overflows, and drawn
-    again with the next seed in the next pass."""
+    shorter window is padded with leading zeros (0.0 + x == x). Once every
+    64 steps, and at the end, a row with any output of those steps past
+    the divergence limit is marked diverged and drawn again with the next
+    seed in the next pass."""
     if len({c.length for c in cfgs}) > 1 or any(
             c.order + (not compat_sum) >= _PAIRWISE_MIN_TERMS for c in cfgs):
         raise ParameterError("lockstep NARMA needs one length and windows of < 8 terms")
@@ -160,41 +162,45 @@ def _narma_lockstep(u: np.ndarray, orders: np.ndarray,
                     compat_sum: bool) -> tuple[np.ndarray, np.ndarray]:
     """The NARMA outputs driven by each row of ``u`` at its order, with the
     operands, in their order, of :func:`_narma_outputs`; and which rows
-    stayed within the divergence limit."""
+    stayed within the divergence limit, checked over each window of 64
+    steps and the last, shorter one."""
     n_terms = orders if compat_sum else orders + 1
     k, length = int(n_terms.max()), u.shape[1]
     ut = np.ascontiguousarray(u.T)
     drive = np.zeros_like(ut)  # 1.5 u[t-1] u[t-n], for every step at once
     for n in np.unique(orders):
         drive[n:, orders == n] = ut[:-n, orders == n]
-    # a product past the float range is inf, as on plain floats: the row
-    # then diverges at that step
-    with np.errstate(over="ignore"):
-        drive[1:] *= 1.5 * ut[:-1]
     # y[t] is ys[k + t]; entry j of a step's window, y[t - k + j], is a
     # term of the rows whose window reaches that far back
     ys = np.zeros((k + length, len(orders)))
     pad = (np.arange(k, 0, -1)[:, None] <= n_terms).astype(float)
     starts, ok = orders + 1, np.ones(len(orders), dtype=bool)
-    last_start = int(starts.max())
-    window, s, a, b = np.empty_like(pad), *(np.empty(len(orders)) for _ in range(3))
-    for t in range(int(starts.min()), length):
-        prev = ys[k + t - 1]
-        np.multiply(ys[t:k + t], pad, out=window)
-        np.add.reduce(window, axis=0, out=s)
-        np.multiply(prev, 0.3, out=a)
-        np.multiply(prev, 0.05, out=b)
-        b *= s
-        a += b
-        a += drive[t]
-        a += 0.1
-        if t < last_start:
-            a[starts > t] = 0.0
-        np.abs(a, out=b)
-        if b.max() > NARMA_DIVERGENCE_LIMIT:
-            ok &= b <= NARMA_DIVERGENCE_LIMIT
-            a[~ok] = 0.0
-        ys[k + t] = a
+    first, last_start = int(starts.min()), int(starts.max())
+    window, s, b = np.empty_like(pad), np.empty(len(orders)), np.empty(len(orders))
+    mul, add, add_reduce = np.multiply, np.add, np.add.reduce
+    c03, c005, c01 = np.array(0.3), np.array(0.05), np.array(0.1)
+    # a product past the float range is inf, as on plain floats, and a
+    # diverged row may reach inf or NaN before its window is checked; the
+    # columns are independent, so the other rows keep their bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive[1:] *= 1.5 * ut[:-1]
+        for t0 in range(first, length, _NARMA_CHECK_STEPS):
+            t1 = min(t0 + _NARMA_CHECK_STEPS, length)
+            for t in range(t0, t1):
+                prev, a = ys[k + t - 1], ys[k + t]
+                mul(ys[t:k + t], pad, window)
+                add_reduce(window, 0, None, s)
+                mul(prev, c03, a)
+                mul(prev, c005, b)
+                mul(b, s, b)
+                add(a, b, a)
+                add(a, drive[t], a)
+                add(a, c01, a)
+                if t < last_start:
+                    a[starts > t] = 0.0
+            # as on plain floats, NaN is not past the limit; a diverged row
+            # reaches NaN only after inf, which is
+            ok &= ~(np.abs(ys[k + t0:k + t1]) > NARMA_DIVERGENCE_LIMIT).any(axis=0)
     return ys[k:].T, ok
 
 

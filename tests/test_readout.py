@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 
 from pulserc import (
     DegenerateVarianceError,
@@ -151,6 +152,20 @@ class TestNormalEquations:
                 w = solve(rhs)
                 assert w.ridge_lambda == lam
                 assert np.array_equal(w.weights, fit_ridge(r, y, lam).weights)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_gram_is_exactly_symmetric_and_solver_factors_it(self, layout):
+        # the solver factors the Gram's transpose, Fortran-ordered already,
+        # plus 0.0; that gives the Gram's bits only if R.T @ R is symmetric
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((300, 82))
+        r = {"C": base[:, :41].copy(), "F": np.asfortranarray(base[:, :41]),
+             "strided": base[::2, ::2]}[layout]
+        system = normal_equations(r, rng.standard_normal(r.shape[0]))
+        assert np.array_equal(system.gram, system.gram.T)
+        for lam in (0.0, 1e-6, 1.0):
+            want = cho_solve(cho_factor(system.gram + lam * np.eye(41)), system.rhs)
+            assert np.array_equal(system.solve(lam).weights, want)
 
 
 class TestPredict:

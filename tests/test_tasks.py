@@ -22,6 +22,8 @@ from pulserc.tasks import (
     _PAIRWISE_MIN_TERMS,
     _PUMP_AR_POLE,
     _PUMP_SCALE,
+    _narma_lockstep,
+    _narma_outputs,
     _pairwise_sum,
 )
 
@@ -198,19 +200,42 @@ class TestNarmaLockstep:
     @pytest.mark.parametrize("compat", [False, True])
     def test_redraws_bitwise_equal_to_gen_narma(self, compat):
         # a wider input range makes rows diverge: some are redrawn, and
-        # some diverge for every seed
+        # some diverge for every seed. The first computed step is 2 (order
+        # 1) and divergence is checked every 64 steps, so the last check
+        # window has 1, 63, 64 and 14 steps
         orders = range(1, 8 if compat else 7)
-        cfgs = [NarmaConfig(order, 400, seed, input_high=0.9)
-                for seed in (5, 6) for order in orders]
-        redraws = self.assert_each_equals_gen_narma(cfgs, compat)
-        assert None in redraws
-        assert max(r for r in redraws if r is not None) > 0
+        for length in (2 + 64 * 5 + 1, 2 + 64 * 5 + 63, 2 + 64 * 6, 400):
+            cfgs = [NarmaConfig(order, length, seed, input_high=0.9)
+                    for seed in (5, 6) for order in orders]
+            redraws = self.assert_each_equals_gen_narma(cfgs, compat)
+            assert None in redraws
+            assert max(r for r in redraws if r is not None) > 0
 
     def test_input_products_past_the_float_range_diverge(self):
         # 1.5 u u overflows: gen_narma's plain floats diverge without a
-        # warning, and so must the lockstep rows
-        cfgs = [NarmaConfig(2, 200, seed, input_high=1e200) for seed in (1, 2)]
-        assert self.assert_each_equals_gen_narma(cfgs, False) == [None, None]
+        # warning, and so must the lockstep rows; with mixed orders the
+        # shorter window's zero padding meets inf and makes NaN
+        for orders in ((2,), (2, 5)):
+            cfgs = [NarmaConfig(order, 200, seed, input_high=1e200)
+                    for seed in (1, 2) for order in orders]
+            assert self.assert_each_equals_gen_narma(cfgs, False) == [None] * len(cfgs)
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 64 * 3 + 1, 64 * 3 + 63])
+    def test_divergence_at_any_step_of_the_last_window_is_seen(self, steps):
+        # u[t-1] = u[t-2] = 3 makes the order-2 output pass the limit at
+        # step t; order 2 computes from step 3 on, so the last check window
+        # has 1, 63, 64, 1, 1 and 63 steps
+        t = 3 + steps - 1
+        u = np.full((4, t + 1), 0.1)
+        u[0, t - 2:t] = 3.0   # passes the limit at the very last step
+        u[1, t - 3:t - 1] = 3.0   # at the step before, if there is one
+        # inf * 0 makes the last output NaN without passing the limit, so
+        # the plain-float recursion does not call it diverged either
+        u[3, t - 2:t] = 0.0, 1.5e308
+        _, ok = _narma_lockstep(u, np.array([2, 2, 2, 2]), False)
+        want = [_narma_outputs(row, 2, 3) is not None for row in u]
+        assert ok.tolist() == want
+        assert want[0] is False and want[2] is True and want[3] is True
 
     def test_one_row(self):
         cfg = NarmaConfig(3, 300, 11)
