@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+import scipy
 
 from .errors import DegenerateVarianceError, DimensionError, ParameterError, SingularSystemError
+
+
+# SciPy's LAPACK extension, loaded from its file on its own: importing
+# scipy.linalg for its dpotrf and dpotrs would load some 300 more modules
+_LINALG = os.path.join(scipy.__path__[0], "linalg")
+_SPEC = FileFinder(_LINALG, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.linalg._flapack")
+if _SPEC is None:
+    raise ImportError(f"SciPy's LAPACK extension _flapack is missing from {_LINALG}")
+_flapack = module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_flapack)
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 @dataclass(frozen=True)
@@ -67,14 +81,13 @@ class NormalEquations:
         # is exactly symmetric, so its transpose gives them in memory order
         a = np.add(self.gram.T, 0.0, order="F")
         a.flat[:: n_cols + 1] += ridge_lambda
-        try:
-            factor = cho_factor(a, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        # the calls cho_factor(a, overwrite_a=True) and cho_solve make
+        factor, info = dpotrf(a, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
             raise SingularSystemError(
                 "normal equations are singular; set ridge_lambda > 0 "
-                f"(currently {ridge_lambda!r})") from exc
-        return lambda rhs: ReadoutWeights(cho_solve(factor, rhs, check_finite=False),
-                                          float(ridge_lambda))
+                f"(currently {ridge_lambda!r})")
+        return lambda rhs: ReadoutWeights(dpotrs(factor, rhs, lower=0)[0], float(ridge_lambda))
 
     def solve(self, ridge_lambda: float) -> ReadoutWeights:
         """Solve ``(R.T R + lambda I) w = R.T y`` for a single target."""

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # a lazy submodule in NumPy 2: load it here, not in the first draw
 
 from .errors import DimensionError, ParameterError
 

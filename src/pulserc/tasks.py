@@ -168,7 +168,7 @@ def _narma_lockstep(u: np.ndarray, orders: np.ndarray,
     k, length = int(n_terms.max()), u.shape[1]
     ut = np.ascontiguousarray(u.T)
     drive = np.zeros_like(ut)  # 1.5 u[t-1] u[t-n], for every step at once
-    for n in np.unique(orders):
+    for n in sorted(set(orders.tolist())):  # np.unique would load numpy.ma
         drive[n:, orders == n] = ut[:-n, orders == n]
     # y[t] is ys[k + t]; entry j of a step's window, y[t - k + j], is a
     # term of the rows whose window reaches that far back

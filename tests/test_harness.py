@@ -517,7 +517,7 @@ class TestDriveGroups:
         replications = 3
         grams, factors = [], []
         real_system = readout.normal_equations
-        real_factor = readout.cho_factor
+        real_factor = readout.dpotrf
 
         def system(*args, **kwargs):
             grams.append(args[0].shape)
@@ -525,7 +525,7 @@ class TestDriveGroups:
         # fit_ridge finds normal_equations in readout, the harness its own
         monkeypatch.setattr(readout, "normal_equations", system)
         monkeypatch.setattr(harness, "normal_equations", system)
-        monkeypatch.setattr(readout, "cho_factor", lambda *a, **k:
+        monkeypatch.setattr(readout, "dpotrf", lambda *a, **k:
                             factors.append(1) or real_factor(*a, **k))
         rows = self._count_rows(monkeypatch)
         draws = TestTaskMemo._count(monkeypatch, "gen_narma")

@@ -17,6 +17,7 @@ from pulserc import (
     pearson,
     predict,
 )
+import pulserc.readout as readout
 from pulserc.readout import normal_equations
 
 
@@ -166,6 +167,12 @@ class TestNormalEquations:
         for lam in (0.0, 1e-6, 1.0):
             want = cho_solve(cho_factor(system.gram + lam * np.eye(41)), system.rhs)
             assert np.array_equal(system.solve(lam).weights, want)
+
+    def test_lapack_module_is_the_one_scipy_linalg_calls(self):
+        # readout loads SciPy's LAPACK extension from its file, without
+        # scipy.linalg; cho_factor and cho_solve call into the same file
+        from scipy.linalg import lapack
+        assert readout._flapack.__file__ == lapack._flapack.__file__
 
 
 class TestPredict:

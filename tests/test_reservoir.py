@@ -10,6 +10,7 @@ import pytest
 
 from pulserc import (
     DimensionError,
+    ExperimentSpec,
     Mask,
     ParameterError,
     ReservoirParams,
@@ -18,6 +19,7 @@ from pulserc import (
     generate_mask,
     run,
     step,
+    write_spec_file,
     zero_state,
 )
 import pulserc.reservoir as reservoir
@@ -456,4 +458,48 @@ def test_scipy_signal_loads_only_when_full_filter_runs():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", _LAZY_SIGNAL], env=env,
                           capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+_LEAN_IMPORT = """
+import sys
+import numpy, scipy
+# NumPy 1.x loads numpy.ma itself; the rest is what pulserc could add
+HEAVY = [m for m in ("scipy.linalg", "numpy.f2py", "numpy.ma", "numpy.testing")
+         if m not in sys.modules]
+import pulserc, pulserc.cli
+from pulserc import ExperimentSpec, ReservoirParams, fit_ridge, generate_mask, run, run_sweep
+assert not [m for m in HEAVY if m in sys.modules], "loaded at import"
+assert "numpy.random" in sys.modules, "numpy.random left to the first draw"
+before = set(sys.modules)
+run_sweep(ExperimentSpec(num_nodes=12, washout=20, train_len=200, test_len=80,
+                         replications=2), [("order", [2, 3])])
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+assert pulserc.cli.main(["sweep", "--spec", sys.argv[1], "--axis", "alpha=0.5,0.9",
+                         "--out", sys.argv[2]]) == 0
+assert not [m for m in HEAVY if m in sys.modules], "loaded by a CSV sweep"
+r, y = numpy.sin(numpy.arange(600.0).reshape(100, 6)), numpy.cos(numpy.arange(100.0))
+weights = fit_ridge(r, y).weights
+# a full drive loads scipy.signal and so scipy.linalg; the fit keeps its bits
+run(numpy.linspace(0.0, 0.5, 20), generate_mask(4, 1),
+    ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0, filter_mode="full"), washout=2)
+assert "scipy.signal" in sys.modules
+assert numpy.array_equal(fit_ridge(r, y).weights, weights)
+"""
+
+
+def test_ridge_readout_loads_no_scipy_linalg(tmp_path):
+    # a fresh interpreter: the readout's LAPACK calls come from SciPy's
+    # extension module alone, and a two_term sweep imports nothing more
+    data = tmp_path / "data.csv"
+    rows = np.random.default_rng(5).uniform(0, 1, (400, 2)).tolist()
+    data.write_text("u,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    write_spec_file(ExperimentSpec(
+        task="csv", csv_input=str(data), csv_target="column:y", standardize=True,
+        noise_sigma=0.01, num_nodes=12, washout=20, train_len=200, test_len=80,
+        replications=2), tmp_path / "csv.spec")
+    src = str(Path(reservoir.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _LEAN_IMPORT, str(tmp_path / "csv.spec"),
+                           str(tmp_path / "res.tsv")], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
