@@ -3,26 +3,14 @@
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
 
 import numpy as np
-import scipy
 
+from ._scipy import _flapack
 from .errors import DegenerateVarianceError, DimensionError, ParameterError, SingularSystemError
 
-
-# SciPy's LAPACK extension, loaded from its file on its own: importing
-# scipy.linalg for its dpotrf and dpotrs would load some 300 more modules
-_LINALG = os.path.join(scipy.__path__[0], "linalg")
-_SPEC = FileFinder(_LINALG, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.linalg._flapack")
-if _SPEC is None:
-    raise ImportError(f"SciPy's LAPACK extension _flapack is missing from {_LINALG}")
-_flapack = module_from_spec(_SPEC)
-_SPEC.loader.exec_module(_flapack)
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 

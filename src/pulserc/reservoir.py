@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # a lazy submodule in NumPy 2: load it here, not in the first draw
 
+from ._scipy import _sigtools
 from .errors import DimensionError, ParameterError
 
 _FILTER_MODES = ("two_term", "full")
@@ -276,9 +277,6 @@ def drive_block(
     lead = params[0]
     v, eps, sigma = lead.num_nodes, lead.coupling, lead.noise_sigma
     two_term = lead.filter_mode == "two_term"
-    if not two_term:
-        # imported on first use: it loads slower than the whole package
-        from scipy.signal import lfilter
     out = np.empty((g, length - washout, v + 1))
     out[:, :, v] = 1.0
 
@@ -306,6 +304,7 @@ def drive_block(
     # [j*V, (j+1)*V); node 0 holds the previous chunk's last one
     ring = np.zeros((chunk * v + 1, g))
     carry = np.zeros((1, g))  # low-pass state of the "full" filter
+    taps, poles = np.array([1.0]), np.array([1.0, -eps])  # its arrays, as lfilter passes them
 
     # one generator per distinct seed, and the columns its draws go to
     streams: dict[int, list[int]] = {}
@@ -336,8 +335,7 @@ def drive_block(
                     mul(gain, mixed, row)
             else:
                 mul(gain, sines, mixed)
-                row[...], _ = lfilter([1.0], [1.0, -eps], mixed, axis=0,
-                                      zi=eps * carry)
+                row[...], _ = _sigtools._linear_filter(taps, poles, mixed, 0, eps * carry)
                 carry[0] = row[-1]
             if rngs:
                 add(row, noise_j, row)

@@ -22,6 +22,7 @@ from pulserc import (
     write_spec_file,
     zero_state,
 )
+import pulserc._scipy as _scipy
 import pulserc.reservoir as reservoir
 from pulserc.reservoir import drive_block
 
@@ -409,6 +410,61 @@ class TestDriveBlock:
         assert np.array_equal(run(inputs, mask, params, washout=5), want)
 
 
+def lfilter_drive(inputs, masks, params, washout):
+    """The ``full`` kernel as it ran through ``scipy.signal.lfilter``: each
+    step forms the block's (V, G) phases and gained sines, runs one
+    ``lfilter`` call down the node axis from ``eps`` times the previous
+    step's last filter state, and adds that step's noise."""
+    from scipy.signal import lfilter
+    g, length = inputs.shape
+    v, eps, sigma = params[0].num_nodes, params[0].coupling, params[0].noise_sigma
+    input_weights = (np.array([p.beta for p in params])[:, None] * masks).T
+    alpha = np.tile([p.alpha for p in params], (v, 1))
+    gain = np.tile([p.gain_c * (1.0 - eps) for p in params], (v, 1))
+    noise = np.zeros((length, v, g))
+    for col, p in enumerate(params if sigma > 0.0 else ()):
+        noise[:, :, col] = np.random.default_rng(p.seed).normal(0.0, sigma, (length, v))
+    row, carry = np.zeros((v, g)), np.zeros((1, g))
+    out = np.ones((g, length - washout, v + 1))
+    for k in range(length):
+        phi = input_weights * inputs[:, k] + alpha * row
+        row, _ = lfilter([1.0], [1.0, -eps], gain * np.sin(phi), axis=0, zi=eps * carry)
+        carry[0] = row[-1]
+        row = row + noise[k]
+        if k >= washout:
+            out[:, k - washout, :v] = row.T
+    return out
+
+
+class TestFullFilterScan:
+    """The ``full`` filter calls SciPy's scan extension directly; it must
+    give the bits that ``scipy.signal.lfilter`` gave it."""
+
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("v", [1, 4, 35])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
+    def test_bitwise_equal_to_lfilter_per_step(self, g, v, noise_sigma):
+        # 200 steps, so the filter state crosses three chunk boundaries,
+        # and a washout that ends in the second chunk; per-row alpha, beta
+        # and gain_c
+        rng = np.random.default_rng(10 * g + v)
+        rows = [ReservoirParams(num_nodes=v, alpha=(0.5, 0.8, 1.1)[k], beta=(0.7, 1.2)[k % 2],
+                                gain_c=(1.0, 0.8)[k % 2], noise_sigma=noise_sigma,
+                                seed=30 + k, filter_mode="full") for k in range(g)]
+        inputs = rng.uniform(-1.0, 1.0, (g, 200))
+        masks = np.array([generate_mask(v, 10 + k).weights for k in range(g)])
+        assert np.array_equal(drive_block(inputs, masks, rows, 70),
+                              lfilter_drive(inputs, masks, rows, 70))
+
+    def test_scan_module_is_the_one_lfilter_calls(self):
+        from scipy.signal import _signaltools
+        assert reservoir._sigtools.__file__ == _signaltools._sigtools.__file__
+
+    def test_missing_extension_names_file_and_directory(self):
+        with pytest.raises(ImportError, match=r"_no_such_module is missing from .*signal"):
+            _scipy._load("signal", "_no_such_module")
+
+
 class TestFadingMemory:
     def test_initial_conditions_forgotten(self):
         params = ReservoirParams(num_nodes=20, alpha=0.7, beta=1.0)
@@ -439,37 +495,57 @@ def test_readme_equations_match_module_docstring():
     assert readme == equation_lines(reservoir.__doc__)
 
 
-_LAZY_SIGNAL = """
+# no SciPy package is loaded, and of SciPy's modules only the two
+# extensions that pulserc runs from their files; on Windows the loader
+# first imports SciPy's top level, whose __init__ registers its DLL directory
+_NO_SCIPY = """
+if sys.platform == "win32":
+    import scipy
+ALLOWED = {m for m in sys.modules if m.split(".")[0] == "scipy"}
+ALLOWED |= {"scipy.linalg._flapack", "scipy.signal._sigtools"}
+SCIPY = [m for m in ("scipy", "scipy.signal", "scipy.linalg") if m not in ALLOWED]
+
+
+def assert_no_scipy_package(when):
+    assert not [m for m in SCIPY if m in sys.modules], f"loaded {when}"
+    loaded = {m for m in sys.modules if m.split(".")[0] == "scipy"}
+    assert loaded <= ALLOWED, f"loaded {when}: {sorted(loaded - ALLOWED)}"
+"""
+
+_FULL_DRIVE = """
 import sys
 import numpy as np
+""" + _NO_SCIPY + """
 import pulserc, pulserc.cli
 from pulserc import ReservoirParams, generate_mask, run
-assert "scipy.signal" not in sys.modules, "scipy.signal loaded at import"
+assert_no_scipy_package("at import")
 params = ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0, filter_mode="full")
-out = run(np.linspace(0.0, 0.5, 20), generate_mask(4, 1), params, washout=2)
-assert out.shape == (18, 5) and np.all(np.isfinite(out))
-assert "scipy.signal" in sys.modules
+out = run(np.linspace(0.0, 0.5, 100), generate_mask(4, 1), params, washout=2)
+assert out.shape == (98, 5) and np.all(np.isfinite(out))
+assert_no_scipy_package("by a full drive")
 """
 
 
-def test_scipy_signal_loads_only_when_full_filter_runs():
-    # a fresh interpreter, so no earlier test has loaded scipy.signal
+def test_full_filter_loads_no_scipy_package():
+    # a fresh interpreter, so no earlier test has loaded SciPy: the full
+    # filter's scan runs in SciPy's extension module alone
     src = str(Path(reservoir.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", _LAZY_SIGNAL], env=env,
+    done = subprocess.run([sys.executable, "-c", _FULL_DRIVE], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
 _LEAN_IMPORT = """
 import sys
-import numpy, scipy
+import numpy
+""" + _NO_SCIPY + """
 # NumPy 1.x loads numpy.ma itself; the rest is what pulserc could add
-HEAVY = [m for m in ("scipy.linalg", "numpy.f2py", "numpy.ma", "numpy.testing")
-         if m not in sys.modules]
+HEAVY = [m for m in ("numpy.f2py", "numpy.ma", "numpy.testing") if m not in sys.modules]
 import pulserc, pulserc.cli
 from pulserc import ExperimentSpec, ReservoirParams, fit_ridge, generate_mask, run, run_sweep
 assert not [m for m in HEAVY if m in sys.modules], "loaded at import"
+assert_no_scipy_package("at import")
 assert "numpy.random" in sys.modules, "numpy.random left to the first draw"
 before = set(sys.modules)
 run_sweep(ExperimentSpec(num_nodes=12, washout=20, train_len=200, test_len=80,
@@ -478,19 +554,23 @@ assert set(sys.modules) == before, sorted(set(sys.modules) - before)
 assert pulserc.cli.main(["sweep", "--spec", sys.argv[1], "--axis", "alpha=0.5,0.9",
                          "--out", sys.argv[2]]) == 0
 assert not [m for m in HEAVY if m in sys.modules], "loaded by a CSV sweep"
-r, y = numpy.sin(numpy.arange(600.0).reshape(100, 6)), numpy.cos(numpy.arange(100.0))
-weights = fit_ridge(r, y).weights
-# a full drive loads scipy.signal and so scipy.linalg; the fit keeps its bits
+assert_no_scipy_package("by a CSV sweep")
 run(numpy.linspace(0.0, 0.5, 20), generate_mask(4, 1),
     ReservoirParams(num_nodes=4, alpha=0.7, beta=1.0, filter_mode="full"), washout=2)
-assert "scipy.signal" in sys.modules
+assert not [m for m in HEAVY if m in sys.modules], "loaded by a full drive"
+assert_no_scipy_package("by a full drive")
+r, y = numpy.sin(numpy.arange(600.0).reshape(100, 6)), numpy.cos(numpy.arange(100.0))
+weights = fit_ridge(r, y).weights
+# scipy.linalg, once a caller loads it, shares the readout's _flapack
+import scipy.linalg
 assert numpy.array_equal(fit_ridge(r, y).weights, weights)
 """
 
 
 def test_ridge_readout_loads_no_scipy_linalg(tmp_path):
     # a fresh interpreter: the readout's LAPACK calls come from SciPy's
-    # extension module alone, and a two_term sweep imports nothing more
+    # extension module alone, a two_term sweep imports nothing more, and a
+    # CSV sweep and a full drive import no SciPy package
     data = tmp_path / "data.csv"
     rows = np.random.default_rng(5).uniform(0, 1, (400, 2)).tolist()
     data.write_text("u,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
