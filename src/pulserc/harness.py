@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DivergenceError, PulseRcError, SpecError
 from .readout import evaluate, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
-from .tasks import (_PAIRWISE_MIN_TERMS, NarmaConfig, TaskDataset, gen_narma, gen_narma_lockstep,
-                    gen_surrogate_laser, load_csv_task, standardize)
+from .tasks import (NarmaConfig, _divergence_error, gen_narma_lockstep, gen_surrogate_laser,
+                    load_csv_task, standardize)
 
 SCHEMA_VERSION = 1
 
@@ -419,12 +419,11 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every point's (inputs, targets) from :func:`_replication_series`.
 
     Each CSV task is read once, the call's snapshot of its file, and
-    checked against every point's length. Every NARMA row of the call
-    whose window has fewer than 8 terms is drawn in one lockstep pass per
-    (length, sum convention); the others come from
-    :func:`_generated_tasks`. Points whose series read the same task,
-    length and standardize split share one pair of arrays, built at the
-    most replications any of them needs.
+    checked against every point's length. Each generated task is drawn
+    once, at the most replications any point needs; all NARMA rows in one
+    :func:`gen_narma_lockstep` call per (length, sum convention). Points
+    whose series read the same task, length and standardize split share
+    one pair of arrays, built at the most replications any of them needs.
     """
     memo: dict = {}
     for spec in specs:
@@ -437,21 +436,21 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
                                 f"samples but washout+train+test needs {spec.total_len}")
     # sorted by replication count, so that the last spec of a key needs the most
     by_reps = sorted(specs, key=lambda spec: spec.replications)
-    short = {_task_key(s): s for s in by_reps if s.task == "narma"
-             and s.order + (not s.compat_narma_sum) < _PAIRWISE_MIN_TERMS}
+    generated = {_task_key(s): s for s in by_reps if s.task != "csv"}
     passes: dict[tuple, list] = {}
-    for key, spec in short.items():
-        passes.setdefault((spec.total_len, spec.compat_narma_sum), []).extend(
-            (key, spec, r) for r in range(spec.replications))
+    for key, spec in generated.items():
+        seeds = [derive_seed(spec.seed, r, _STREAM_TASK) for r in range(spec.replications)]
+        if spec.task == "surrogate":
+            memo[key] = [gen_surrogate_laser(max(100, spec.total_len), seed) for seed in seeds]
+        else:
+            passes.setdefault((spec.total_len, spec.compat_narma_sum), []).extend(
+                (key, r, NarmaConfig(spec.order, spec.total_len, seed))
+                for r, seed in enumerate(seeds))
     for (_, compat), rows in passes.items():
-        cfgs = [NarmaConfig(spec.order, spec.total_len, derive_seed(spec.seed, r, _STREAM_TASK))
-                for _, spec, r in rows]
-        for (key, _, r), ds in zip(rows, gen_narma_lockstep(cfgs, compat)):
-            drawn = memo.setdefault(key, [])
-            # a row that diverged for every seed, and the task's rows after
-            # it, are left to gen_narma, which raises for it
-            if ds is not None and len(drawn) == r:
-                drawn.append(ds)
+        for (key, r, cfg), ds in zip(rows, gen_narma_lockstep([cfg for *_, cfg in rows], compat)):
+            if ds is None:
+                raise DivergenceError(f"replication {r}: {_divergence_error(cfg)}")
+            memo.setdefault(key, []).append(ds)
 
     def pair_key(s: ExperimentSpec) -> tuple:
         # the length and the standardize split too, which a CSV task's key
@@ -536,17 +535,16 @@ def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, n
     """Every replication's (standardized) inputs and targets, cut to the
     spec's total length, as two (replications, total_len) arrays.
 
-    A CSV task does not depend on the task seed: the call's one read of its
-    file serves every replication. Generated series come from
-    :func:`_generated_tasks`, drawn at least ``total_len`` long. Each
+    ``memo`` holds each task's series: a CSV task's one read of its file,
+    which serves every replication, as it does not depend on the seed; a
+    generated task's series, drawn at least ``total_len`` long. Each
     series is standardized on its own.
     """
     n = spec.total_len
     if spec.task == "csv":
         series, repeats = (memo[_task_key(spec)],), spec.replications
     else:
-        series = _generated_tasks(memo, spec)
-        repeats = 1
+        series, repeats = memo[_task_key(spec)][:spec.replications], 1
     if spec.standardize:
         series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
     return (np.stack([ds.inputs[:n] for ds in series] * repeats),
@@ -559,32 +557,6 @@ def _task_key(spec: ExperimentSpec) -> tuple:
     if spec.task == "csv":
         return (spec.task, spec.csv_input, spec.csv_target)
     return (spec.task, spec.order, spec.compat_narma_sum, spec.total_len, spec.seed)
-
-
-def _generated_tasks(memo: dict, spec: ExperimentSpec) -> list[TaskDataset]:
-    """The ``spec.replications`` generated (NARMA or surrogate) series of
-    ``spec``'s task. ``memo`` keeps every task's series drawn so far, so the
-    points of one sweep that share a task, such as its V = 35 and V = 100
-    points of one NARMA order, draw them once."""
-    series = memo.setdefault(_task_key(spec), [])
-    for r in range(len(series), spec.replications):
-        task_seed = derive_seed(spec.seed, r, _STREAM_TASK)
-        with _replication(r):
-            if spec.task == "narma":
-                series.append(gen_narma(NarmaConfig(spec.order, spec.total_len, task_seed),
-                                        compat_sum=spec.compat_narma_sum))
-            else:
-                series.append(gen_surrogate_laser(max(100, spec.total_len), task_seed))
-    return series[:spec.replications]
-
-
-@contextlib.contextmanager
-def _replication(r: int):
-    """Prefix the replication index to a library error raised inside."""
-    try:
-        yield
-    except PulseRcError as exc:
-        raise type(exc)(f"replication {r}: {exc}") from exc
 
 
 def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:

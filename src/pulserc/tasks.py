@@ -9,10 +9,8 @@ Lines starting with '#' are ignored. Numbers use a decimal point only.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
 
 import numpy as np
 
@@ -24,7 +22,8 @@ from .errors import (
 )
 
 NARMA_DIVERGENCE_LIMIT = 10.0
-_MAX_REDRAWS = 100
+_MAX_DRAWS = 100  # seeds a NARMA draw tries
+_REDRAW_SEEDS = 8  # seeds each later lockstep pass tries per pending row
 # NumPy sums fewer terms than this left to right and more pairwise, in
 # blocks of at most _PAIRWISE_BLOCK terms; the NARMA recursion mirrors
 # NumPy's order, so its sequences do not depend on how the sum is computed
@@ -111,85 +110,94 @@ def gen_narma(cfg: NarmaConfig, compat_sum: bool = False) -> TaskDataset:
     most recent, the convention common in other benchmark suites. Inputs
     are i.i.d. uniform on [input_low, input_high); y starts at zero. A
     draw whose |y| exceeds 10 is discarded and redrawn with the seed
-    incremented, at most 100 times.
+    incremented: 100 seeds are tried, so at most 99 redraws.
     """
-    n = cfg.order
-    n_terms = n if compat_sum else n + 1
-    for attempt in range(_MAX_REDRAWS):
-        seed = cfg.seed + attempt
-        rng = np.random.default_rng(seed)
-        u = rng.uniform(cfg.input_low, cfg.input_high, cfg.length)
-        y = _narma_outputs(u, n, n_terms)
-        if y is not None:
-            return TaskDataset(
-                u, y, name=f"narma{n}",
-                meta={"effective_seed": seed, "compat_sum": compat_sum})
-    raise DivergenceError(
-        f"NARMA-{n} diverged for every seed in "
-        f"[{cfg.seed}, {cfg.seed + _MAX_REDRAWS - 1}]")
+    [ds] = gen_narma_lockstep([cfg], compat_sum)
+    if ds is None:
+        raise _divergence_error(cfg)
+    return ds
+
+
+def _divergence_error(cfg: NarmaConfig) -> DivergenceError:
+    """The error of a NARMA draw that diverged for every seed it tries."""
+    return DivergenceError(f"NARMA-{cfg.order} diverged for every seed in "
+                           f"[{cfg.seed}, {cfg.seed + _MAX_DRAWS - 1}]")
 
 
 def gen_narma_lockstep(cfgs: list[NarmaConfig],
                        compat_sum: bool = False) -> list[TaskDataset | None]:
-    """:func:`gen_narma` of configs of one length whose windows have fewer
-    than 8 terms, drawn together: each row bitwise equal to its own draw,
-    or None where that raises. The rows advance one NumPy step at a time; a
-    shorter window is padded with leading zeros (0.0 + x == x). Once every
-    64 steps, and at the end, a row with any output of those steps past
-    the divergence limit is marked diverged and drawn again with the next
-    seed in the next pass."""
-    if len({c.length for c in cfgs}) > 1 or any(
-            c.order + (not compat_sum) >= _PAIRWISE_MIN_TERMS for c in cfgs):
-        raise ParameterError("lockstep NARMA needs one length and windows of < 8 terms")
+    """:func:`gen_narma` of configs of one length, drawn together: each
+    row bitwise equal to its own draw, or None where that raises. The
+    first pass draws every row at its own seed; each later pass draws the
+    next 8 seeds of every row still pending and keeps the first of them
+    that stayed bounded, the one :func:`gen_narma` keeps."""
+    if len({c.length for c in cfgs}) > 1:
+        raise ParameterError("lockstep NARMA needs one length")
     drawn: list[TaskDataset | None] = [None] * len(cfgs)
-    todo = list(range(len(cfgs)))
-    for attempt in range(_MAX_REDRAWS):
-        if not todo:
-            break
-        seeds = [cfgs[i].seed + attempt for i in todo]
-        u = np.stack([np.random.default_rng(seed).uniform(
-            cfgs[i].input_low, cfgs[i].input_high, cfgs[i].length) for i, seed in zip(todo, seeds)])
-        y, ok = _narma_lockstep(u, np.array([cfgs[i].order for i in todo]), compat_sum)
-        # copies, so that no row keeps the whole batch alive
+    # by order, as the lockstep takes its rows
+    todo, attempt = sorted(range(len(cfgs)), key=lambda i: cfgs[i].order), 0
+    while todo and attempt < _MAX_DRAWS:
+        attempts = range(attempt, min(attempt + (_REDRAW_SEEDS if attempt else 1), _MAX_DRAWS))
+        rows = [(i, cfgs[i].seed + a) for i in todo for a in attempts]
+        u = np.empty((len(rows), cfgs[0].length))
+        for row, (i, seed) in zip(u, rows):
+            row[:] = np.random.default_rng(seed).uniform(
+                cfgs[i].input_low, cfgs[i].input_high, cfgs[i].length)
+        y, ok = _narma_lockstep(u, np.array([cfgs[i].order for i, _ in rows]), compat_sum)
+        # a row's draws are in seed order, so its first bounded one comes
+        # first; copies, so that no row keeps the whole batch alive
         for k in np.flatnonzero(ok):
-            drawn[todo[k]] = TaskDataset(u[k].copy(), y[k].copy(), name=f"narma{cfgs[todo[k]].order}",
-                                         meta={"effective_seed": seeds[k], "compat_sum": compat_sum})
-        todo = [i for i, good in zip(todo, ok) if not good]
+            i, seed = rows[k]
+            if drawn[i] is None:
+                drawn[i] = TaskDataset(u[k].copy(), y[k].copy(), name=f"narma{cfgs[i].order}",
+                                       meta={"effective_seed": seed, "compat_sum": compat_sum})
+        todo, attempt = [i for i in todo if drawn[i] is None], attempts.stop
     return drawn
 
 
 def _narma_lockstep(u: np.ndarray, orders: np.ndarray,
                     compat_sum: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The NARMA outputs driven by each row of ``u`` at its order, with the
-    operands, in their order, of :func:`_narma_outputs`; and which rows
-    stayed within the divergence limit, checked over each window of 64
-    steps and the last, shorter one."""
+    """The NARMA outputs driven by each row of ``u`` at its order, the
+    ``orders`` ascending, and which rows stayed within the divergence
+    limit, checked every 64 steps and at the end; the call stops once none
+    has. Rows advance as columns, each window summed as NumPy sums it:
+    left to right below 8 terms, padded with leading zeros to one width
+    (0.0 + x == x), and by :func:`_pairwise_columns` per longer term
+    count."""
     n_terms = orders if compat_sum else orders + 1
-    k, length = int(n_terms.max()), u.shape[1]
-    ut = np.ascontiguousarray(u.T)
-    drive = np.zeros_like(ut)  # 1.5 u[t-1] u[t-n], for every step at once
-    for n in sorted(set(orders.tolist())):  # np.unique would load numpy.ma
-        drive[n:, orders == n] = ut[:-n, orders == n]
-    # y[t] is ys[k + t]; entry j of a step's window, y[t - k + j], is a
-    # term of the rows whose window reaches that far back
-    ys = np.zeros((k + length, len(orders)))
-    pad = (np.arange(k, 0, -1)[:, None] <= n_terms).astype(float)
-    starts, ok = orders + 1, np.ones(len(orders), dtype=bool)
+    k, length, rows = int(n_terms[-1]), u.shape[1], len(orders)
+    drive = np.zeros((length, rows))  # 1.5 u[t-1] u[t-n], for every step at once
+    # y[t] is ys[k + t]; entry j of a padded step's window, y[t - k_pad + j],
+    # is a term of the rows whose window reaches that far back
+    ys = np.zeros((k + length, rows))
+    s, b = np.empty(rows), np.empty(rows)
+    padded = int(np.searchsorted(n_terms, _PAIRWISE_MIN_TERMS))
+    k_pad = int(n_terms[padded - 1]) if padded else 0
+    pad = (np.arange(k_pad, 0, -1)[:, None] <= n_terms[:padded]).astype(float)
+    window, s_pad = np.empty_like(pad), s[:padded]
+    bounds = [padded, *(np.flatnonzero(np.diff(n_terms[padded:])) + padded + 1), rows]
+    groups = [(int(n_terms[lo]), slice(lo, hi), s[lo:hi], np.empty((4, hi - lo)),
+               np.empty((2, hi - lo))) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    starts, ok = orders + 1, np.ones(rows, dtype=bool)
     first, last_start = int(starts.min()), int(starts.max())
-    window, s, b = np.empty_like(pad), np.empty(len(orders)), np.empty(len(orders))
     mul, add, add_reduce = np.multiply, np.add, np.add.reduce
     c03, c005, c01 = np.array(0.3), np.array(0.05), np.array(0.1)
     # a product past the float range is inf, as on plain floats, and a
     # diverged row may reach inf or NaN before its window is checked; the
     # columns are independent, so the other rows keep their bits
     with np.errstate(over="ignore", invalid="ignore"):
-        drive[1:] *= 1.5 * ut[:-1]
+        for n, row_u, row_d in zip(orders.tolist(), u, drive.T):
+            row_d[n:] = row_u[:-n]
+            row_d[1:] *= 1.5 * row_u[:-1]
         for t0 in range(first, length, _NARMA_CHECK_STEPS):
             t1 = min(t0 + _NARMA_CHECK_STEPS, length)
             for t in range(t0, t1):
                 prev, a = ys[k + t - 1], ys[k + t]
-                mul(ys[t:k + t], pad, window)
-                add_reduce(window, 0, None, s)
+                if padded:
+                    mul(ys[k + t - k_pad:k + t, :padded], pad, window)
+                    add_reduce(window, 0, None, s_pad)
+                for m, cols, *sums in groups:
+                    _pairwise_columns(ys[k + t - m:k + t, cols], *sums)
                 mul(prev, c03, a)
                 mul(prev, c005, b)
                 mul(b, s, b)
@@ -201,54 +209,33 @@ def _narma_lockstep(u: np.ndarray, orders: np.ndarray,
             # as on plain floats, NaN is not past the limit; a diverged row
             # reaches NaN only after inf, which is
             ok &= ~(np.abs(ys[k + t0:k + t1]) > NARMA_DIVERGENCE_LIMIT).any(axis=0)
+            if not ok.any():
+                break
     return ys[k:].T, ok
 
 
-def _narma_outputs(u: np.ndarray, n: int, n_terms: int) -> np.ndarray | None:
-    """The NARMA-n outputs driven by ``u``, or None once |y| passes the
-    divergence limit. Window sums run on plain floats in the order of
-    NumPy's ``sum`` over the same window."""
-    length = u.size
-    if n_terms >= _PAIRWISE_MIN_TERMS:
-        window_sum = _pairwise_sum
-    else:
-        window_sum = partial(reduce, operator.add)
-    uf = u.tolist()
-    yf = [0.0] * length
-    for t in range(n + 1, length):
-        prev = yf[t - 1]
-        s = window_sum(yf[t - n_terms:t])
-        yt = 0.3 * prev + 0.05 * prev * s + 1.5 * uf[t - 1] * uf[t - n] + 0.1
-        if abs(yt) > NARMA_DIVERGENCE_LIMIT:
-            return None
-        yf[t] = yt
-    return np.array(yf)
-
-
-def _pairwise_sum(w: list[float]) -> float:
-    """NumPy's pairwise sum of at least 8 float64 values: eight running
-    sums over each block of up to 128 terms, combined as a tree, the rest
-    added left to right; longer runs split in two at a multiple of 8."""
+def _pairwise_columns(w: np.ndarray, out: np.ndarray, quads: np.ndarray,
+                      pairs: np.ndarray) -> np.ndarray:
+    """NumPy's pairwise sum of the n >= 8 rows of ``w``, column by column,
+    into ``out``: eight running sums over each block of up to 128 rows,
+    combined as a tree through the scratch rows ``quads`` (4) and
+    ``pairs`` (2), the rest added left to right; longer runs split in two
+    at a multiple of 8."""
     n = len(w)
     if n > _PAIRWISE_BLOCK:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(w[:half]) + _pairwise_sum(w[half:])
+        half = n // 2 - n // 2 % 8
+        _pairwise_columns(w[:half], out, quads, pairs)
+        return np.add(out, _pairwise_columns(w[half:], np.empty_like(out), quads, pairs), out)
     m = n - n % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = w[:8]
+    r = w[:8]
     for i in range(8, m, 8):
-        r0 += w[i]
-        r1 += w[i + 1]
-        r2 += w[i + 2]
-        r3 += w[i + 3]
-        r4 += w[i + 4]
-        r5 += w[i + 5]
-        r6 += w[i + 6]
-        r7 += w[i + 7]
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r + w[i:i + 8]
+    np.add(r[0::2], r[1::2], quads)
+    np.add(quads[0::2], quads[1::2], pairs)
+    np.add(pairs[0], pairs[1], out)
     for x in w[m:]:
-        res += x
-    return res
+        np.add(out, x, out)
+    return out
 
 
 def load_csv_task(input_path, target) -> TaskDataset:

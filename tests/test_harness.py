@@ -11,7 +11,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from pulserc import (
-    DivergenceError,
     ExperimentSpec,
     NarmaConfig,
     ResultRecord,
@@ -307,11 +306,10 @@ class TestTaskMemo:
         return calls
 
     def test_equal_tasks_drawn_once(self, monkeypatch):
-        scalar = self._count(monkeypatch, "gen_narma")
         lockstep = self._count(monkeypatch, "gen_narma_lockstep")
 
         def drawn():
-            return len(scalar) + sum(len(cfgs) for cfgs, *_ in lockstep)
+            return sum(len(cfgs) for cfgs, *_ in lockstep)
         records = run_sweep(small_spec(replications=2),
                             [("order", [2, 3]), ("num_nodes", [7, 12])])
         assert len(records) == 4
@@ -320,7 +318,6 @@ class TestTaskMemo:
         assert drawn() == 4
         # the memo lives for one call: each experiment draws its own two
         # series, whatever ran before it
-        scalar.clear()
         lockstep.clear()
         for flag in (False, True):
             run_experiment(small_spec(replications=2, standardize=flag))
@@ -341,22 +338,24 @@ class TestTaskMemo:
         assert all(map(same_records, swept, fresh))
 
     @pytest.mark.parametrize("axes", [
-        [("seed", [7, 8]), ("num_nodes", [7, 12])],
-        [("replications", [2, 3])],
+        [("seed", [7, 8]), ("num_nodes", [7, 12]), ("order", [2, 10])],
+        [("replications", [2, 3]), ("order", [2, 10])],
     ])
     def test_every_row_drawn_once_in_one_pass(self, monkeypatch, axes):
-        scalar = self._count(monkeypatch, "gen_narma")
         lockstep = self._count(monkeypatch, "gen_narma_lockstep")
         base = small_spec()
         records = run_sweep(base, axes)
         points = _sweep_points(base, axes)
-        # every (seed, replication) row of the call, once, in one pass,
-        # however the points split into drive groups
-        rows = {(spec.seed, r) for spec in points for r in range(spec.replications)}
-        assert len(scalar) == 0 and len(lockstep) == 1
+        # every (order, seed, replication) row of the call, once, in one
+        # pass, however the points split into drive groups; order 10's
+        # window has 11 terms, which NumPy sums pairwise
+        rows = {(spec.order, spec.seed, r)
+                for spec in points for r in range(spec.replications)}
+        assert len(lockstep) == 1
         [(cfgs, *_)] = lockstep
-        assert sorted(cfg.seed for cfg in cfgs) == sorted(
-            harness.derive_seed(seed, r, harness._STREAM_TASK) for seed, r in rows)
+        assert sorted((cfg.order, cfg.seed) for cfg in cfgs) == sorted(
+            (order, harness.derive_seed(seed, r, harness._STREAM_TASK))
+            for order, seed, r in rows)
         monkeypatch.undo()
         for rec, spec in zip(records, points):
             assert same_records(rec, run_experiment(spec))
@@ -528,13 +527,12 @@ class TestDriveGroups:
         monkeypatch.setattr(readout, "dpotrf", lambda *a, **k:
                             factors.append(1) or real_factor(*a, **k))
         rows = self._count_rows(monkeypatch)
-        draws = TestTaskMemo._count(monkeypatch, "gen_narma")
         lockstep = TestTaskMemo._count(monkeypatch, "gen_narma_lockstep")
         records = run_sweep(small_spec(replications=replications, lambda_grid=grid),
                             [("order", [2, 3, 4])])
         assert sum(rows) == replications
-        # the 9 series are drawn in one lockstep pass
-        assert len(draws) == 0 and len(lockstep) == 1
+        # the 9 series are drawn in one lockstep call
+        assert len(lockstep) == 1
         # one Gram per driven row (and one of the grid's fit rows), one
         # factor per ridge strength a row needs: not one per point
         assert len(grams) == replications * (1 + bool(grid))
@@ -919,18 +917,12 @@ class TestCli:
         # one drive group per seed; replication 1 of seed 8's NARMA task
         # diverges for every redraw
         bad = harness.derive_seed(8, 1, harness._STREAM_TASK)
-        real_lockstep, real_scalar = harness.gen_narma_lockstep, harness.gen_narma
+        real_lockstep = harness.gen_narma_lockstep
 
         def lockstep(cfgs, *args):
             return [None if cfg.seed == bad else ds
                     for cfg, ds in zip(cfgs, real_lockstep(cfgs, *args))]
-
-        def scalar(cfg, *args, **kwargs):
-            if cfg.seed == bad:
-                raise DivergenceError(f"NARMA-{cfg.order} diverged")
-            return real_scalar(cfg, *args, **kwargs)
         monkeypatch.setattr(harness, "gen_narma_lockstep", lockstep)
-        monkeypatch.setattr(harness, "gen_narma", scalar)
         self._forbid_compute(monkeypatch)
         path = self._spec_file(tmp_path)
         assert main(["sweep", "--spec", str(path), "--axis", "seed=7,8",

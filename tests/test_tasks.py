@@ -19,12 +19,10 @@ from pulserc import (
 from pulserc.tasks import (
     NARMA_DIVERGENCE_LIMIT,
     gen_narma_lockstep,
-    _PAIRWISE_MIN_TERMS,
     _PUMP_AR_POLE,
     _PUMP_SCALE,
     _narma_lockstep,
-    _narma_outputs,
-    _pairwise_sum,
+    _pairwise_columns,
 )
 
 
@@ -62,6 +60,22 @@ def narma_array_loop(cfg, compat_sum=False):
         if not diverged:
             return u, y, seed
     return None
+
+
+def diverges_on_plain_floats(u, order):
+    """Whether the NARMA-``order`` recursion driven by ``u`` passes the
+    divergence limit on plain floats, its window of order + 1 terms summed
+    left to right, as NumPy sums fewer than 8 terms."""
+    u, y = u.tolist(), [0.0] * len(u)
+    for t in range(order + 1, len(u)):
+        s = y[t - order - 1]
+        for x in y[t - order:t]:
+            s += x
+        y[t] = 0.3 * y[t - 1] + 0.05 * y[t - 1] * s \
+            + 1.5 * u[t - 1] * u[t - order] + 0.1
+        if abs(y[t]) > NARMA_DIVERGENCE_LIMIT:
+            return True
+    return False
 
 
 class TestNarmaConfig:
@@ -123,12 +137,13 @@ class TestGenNarma:
 
     def test_pairwise_sum_bitwise_equal_to_numpy(self):
         # windows of 8 to 300 terms, over many orders of magnitude, so the
-        # grouping of the additions shows in the last bits
+        # grouping of the additions shows in the last bits; each column is
+        # summed on its own
         rng = np.random.default_rng(8)
-        for n in range(_PAIRWISE_MIN_TERMS, 301):
-            for _ in range(5):
-                w = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 6, n)
-                assert _pairwise_sum(w.tolist()) == w.sum(), n
+        for n in range(8, 301):
+            w = rng.uniform(0.0, 1.0, (n, 5)) * 10.0 ** rng.integers(-6, 6, (n, 5))
+            got = _pairwise_columns(w, np.empty(5), np.empty((4, 5)), np.empty((2, 5)))
+            assert got.tolist() == [col.sum() for col in w.T], n
 
     def test_zero_input_fixed_point(self):
         # force u == 0 via a degenerate-interval workaround: the interval
@@ -189,6 +204,46 @@ class TestNarmaLockstep:
             redraws.append(got.meta["effective_seed"] - cfg.seed)
         return redraws
 
+    @staticmethod
+    def assert_each_equals_array_loop(cfgs, compat):
+        """Every lockstep row equals ``narma_array_loop``'s draw, effective
+        seed included; a row is None exactly where that finds none.
+        Returns the rows' redraw counts, None for a row that has none."""
+        redraws = []
+        for cfg, got in zip(cfgs, gen_narma_lockstep(cfgs, compat)):
+            want = narma_array_loop(cfg, compat)
+            if want is None:
+                assert got is None
+                redraws.append(None)
+                continue
+            assert np.array_equal(got.inputs, want[0])
+            assert np.array_equal(got.targets, want[1])
+            assert got.meta["effective_seed"] == want[2]
+            redraws.append(want[2] - cfg.seed)
+        return redraws
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_pairwise_orders_bitwise_equal_to_array_loop(self, compat):
+        # windows of 8 to 21 terms, each order at two input ranges scaled
+        # to its window: at the wider one every order redraws, and some
+        # diverge for every seed
+        cfgs = [NarmaConfig(order, 300, 1, input_high=c / (order + (not compat)))
+                for order in range(7, 21) for c in (5.5, 6.5)]
+        redraws = self.assert_each_equals_array_loop(cfgs, compat)
+        assert None in redraws
+        assert max(r for r in redraws if r is not None) > 0
+
+    @pytest.mark.parametrize("compat", [False, True])
+    def test_padded_and_pairwise_windows_in_one_call(self, compat):
+        # a padded block and pairwise groups of 8 to 11 and of 150 to 151
+        # terms, the last above NumPy's 128-term block; 200 steps keep
+        # order 150 bounded at the narrower input range
+        cfgs = [NarmaConfig(order, 200, seed, input_high=high)
+                for seed in (1, 2) for high in (0.1, 0.3, 0.6) for order in (2, 7, 10, 150)]
+        redraws = self.assert_each_equals_array_loop(cfgs, compat)
+        assert None in redraws
+        assert max(r for r in redraws if r is not None) > 0
+
     @pytest.mark.parametrize("compat", [False, True])
     def test_mixed_orders_bitwise_equal_to_gen_narma(self, compat):
         # every order whose window has fewer than 8 terms, in one batch
@@ -233,7 +288,7 @@ class TestNarmaLockstep:
         # the plain-float recursion does not call it diverged either
         u[3, t - 2:t] = 0.0, 1.5e308
         _, ok = _narma_lockstep(u, np.array([2, 2, 2, 2]), False)
-        want = [_narma_outputs(row, 2, 3) is not None for row in u]
+        want = [not diverges_on_plain_floats(row, 2) for row in u]
         assert ok.tolist() == want
         assert want[0] is False and want[2] is True and want[3] is True
 
@@ -244,8 +299,6 @@ class TestNarmaLockstep:
 
     def test_long_window_or_mixed_lengths_rejected(self):
         gen_narma_lockstep([NarmaConfig(7, 100, 1)], compat_sum=True)
-        with pytest.raises(ParameterError, match="8 terms"):
-            gen_narma_lockstep([NarmaConfig(7, 100, 1)])
         with pytest.raises(ParameterError, match="one length"):
             gen_narma_lockstep([NarmaConfig(2, 100, 1), NarmaConfig(2, 101, 1)])
 
