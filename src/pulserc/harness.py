@@ -464,7 +464,8 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
 def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) -> dict:
     """Every outcome of one drive group: for each point ``i`` of ``group``,
     with its (inputs, targets) in ``series[i]``, its per-replication fits
-    in replication order, or the library error that stopped it.
+    in replication order, or the library error that stopped it. As in the
+    record, only replication 0 keeps its test predictions and weights.
 
     Each distinct (replication, alpha, beta, gain_c, input row) of the
     group is driven once, in blocks of at most ``_DRIVE_BLOCK_BYTES`` of
@@ -504,7 +505,8 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
                 if isinstance(fit, Exception):
                     outcomes[i] = type(fit)(f"replication {r}: {fit}")
                 else:
-                    outcomes[i].append(fit)
+                    # a record keeps replication 0's predictions and weights
+                    outcomes[i].append(fit if r == 0 else (*fit[:3], None, None))
         # free this block's state matrices before the next one is driven
         del states, rep_states
     return outcomes
@@ -595,9 +597,9 @@ def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:
 def _solves(states, targets: dict, lambdas: dict, outcomes: dict, use) -> None:
     """Call ``use(i, weights)`` for each point ``i`` in ``lambdas`` without an
     outcome and each of its ridge strengths, strength by strength: one Gram
-    of ``states``, one Cholesky factor alive at a time, one solve per point
-    (as a fit of its own solves it). A library error is the outcome of the
-    points it reaches."""
+    of ``states``, each Cholesky factor formed in its storage, so a fit
+    holds one (V+1)² array, and one solve per point (as a fit of its own
+    solves it). A library error is the outcome of the points it reaches."""
     points = [i for i in lambdas if i not in outcomes]
     if not points:
         return
@@ -618,7 +620,6 @@ def _solves(states, targets: dict, lambdas: dict, outcomes: dict, use) -> None:
                 use(points[k], solve(system.rhs[k]))
             except PulseRcError as exc:
                 outcomes[points[k]] = exc
-        del solve
 
 
 def _fit_rows(n: int) -> int:

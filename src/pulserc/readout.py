@@ -38,26 +38,40 @@ class EvalReport:
     n_samples: int
 
 
-@dataclass(frozen=True)
+_STRIP = 64  # rows of the Gram whose factor operands one step rebuilds
+_STRICT_LOWER = np.tri(_STRIP, k=-1, dtype=bool)
+
+
 class NormalEquations:
     """``R.T @ R`` of one state matrix and ``R.T @ y`` of one target vector,
     or one row of ``rhs`` per target of a stack.
 
-    Formed once by :func:`normal_equations`. Each ridge strength costs one
-    Cholesky factor, which solves for every target, so a lambda grid or
-    several targets of one state matrix share one Gram.
+    Formed once by :func:`normal_equations`, which hands over the Gram.
+    Each ridge strength costs one Cholesky factor, which solves for every
+    target, so a lambda grid or several targets of one state matrix share
+    one Gram. Each factor is formed in the Gram's own storage, so a fit
+    holds one (V+1)² array: the factor overwrites the lower triangle, and
+    the strict upper one and a copy of the diagonal keep the Gram.
     """
 
-    gram: np.ndarray
-    rhs: np.ndarray
-    n_rows: int
+    def __init__(self, gram: np.ndarray, rhs: np.ndarray, n_rows: int) -> None:
+        self._a, self._diagonal = gram, gram.diagonal().copy()
+        self.rhs, self.n_rows, self._factors = rhs, n_rows, 0
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The Gram, exactly: a new array, rebuilt from what no factor overwrites."""
+        g = np.where(np.tri(len(self._a), k=-1, dtype=bool), self._a.T, self._a)
+        np.fill_diagonal(g, self._diagonal)
+        return g
 
     def solver(self, ridge_lambda: float) -> Callable[[np.ndarray], ReadoutWeights]:
         """Cholesky factor ``(R.T R + lambda I)`` and return the solve of one
         ``R.T @ y`` against it. Solve each target on its own: a multi-column
         solve need not give the same bits. With ``ridge_lambda = 0`` the
-        state matrix must have full column rank."""
-        n_cols = self.gram.shape[0]
+        state matrix must have full column rank. The next call overwrites
+        the factor, and this solve then raises ParameterError."""
+        a, n_cols = self._a, len(self._a)
         if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
             raise ParameterError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
         if ridge_lambda == 0.0 and self.n_rows < n_cols:
@@ -65,17 +79,29 @@ class NormalEquations:
                 f"{self.n_rows} rows cannot determine {n_cols} weights; "
                 "set ridge_lambda > 0")
         # the operands of ``gram + lambda * eye`` (+ 0.0 off the diagonal)
-        # in a Fortran-ordered copy that potrf factors in place; ``r.T @ r``
-        # is exactly symmetric, so its transpose gives them in memory order
-        a = np.add(self.gram.T, 0.0, order="F")
-        a.flat[:: n_cols + 1] += ridge_lambda
+        # where potrf reads them, in the lower triangle: ``r.T @ r`` is
+        # exactly symmetric, so they mirror the upper one. Strip by strip,
+        # so that NumPy buffers a diagonal block, not a transposed triangle
+        for j in range(0, n_cols, _STRIP):
+            k = min(_STRIP, n_cols - j)
+            np.add(a[:j, j:j + k].T, 0.0, out=a[j:j + k, :j])
+            block = a[j:j + k, j:j + k]
+            np.add(block.T, 0.0, out=block, where=_STRICT_LOWER[:k, :k])
+        a.flat[:: n_cols + 1] = self._diagonal + 0.0 + ridge_lambda
+        current = self._factors = self._factors + 1
         # the calls cho_factor(a, overwrite_a=True) and cho_solve make
-        factor, info = dpotrf(a, lower=0, clean=0, overwrite_a=1)
+        factor, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularSystemError(
                 "normal equations are singular; set ridge_lambda > 0 "
                 f"(currently {ridge_lambda!r})")
-        return lambda rhs: ReadoutWeights(dpotrs(factor, rhs, lower=0)[0], float(ridge_lambda))
+
+        def solve(rhs: np.ndarray) -> ReadoutWeights:
+            if self._factors != current:
+                raise ParameterError(
+                    f"a later solver() call overwrote the factor for ridge_lambda={ridge_lambda!r}")
+            return ReadoutWeights(dpotrs(factor, rhs, lower=0)[0], float(ridge_lambda))
+        return solve
 
     def solve(self, ridge_lambda: float) -> ReadoutWeights:
         """Solve ``(R.T R + lambda I) w = R.T y`` for a single target."""

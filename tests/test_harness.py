@@ -622,6 +622,18 @@ class TestDriveGroups:
                             [("ridge_lambda", [1e-8, 1e-4])])
         assert records[0].duration_s == records[1].duration_s > 0
 
+    @pytest.mark.parametrize("grid", [(), (1e-6, 1e-2)])
+    def test_only_replication_zero_keeps_its_arrays(self, grid):
+        # a record keeps replication 0's test predictions and weights, so
+        # a group holds no other replication's until its records are made
+        specs = _sweep_points(small_spec(replications=3, lambda_grid=grid),
+                              [("order", [2, 3])])
+        outcomes = harness._drive_group(specs, [0, 1], harness._series(specs))
+        for fits in outcomes.values():
+            assert [type(x) for x in fits[0][3:]] == [np.ndarray, np.ndarray]
+            assert len(fits) == 3 and not any(
+                isinstance(x, np.ndarray) for fit in fits[1:] for x in fit)
+
 
 def fit_ridge_reference(states, targets, lam):
     """The ridge solve as it was when every lambda grid point formed its

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,91 @@ class TestNormalEquations:
         for lam in (0.0, 1e-6, 1.0):
             want = cho_solve(cho_factor(system.gram + lam * np.eye(41)), system.rhs)
             assert np.array_equal(system.solve(lam).weights, want)
+
+    def test_potrf_factors_in_its_buffer_and_skips_the_other_triangle(self):
+        # the solver forms each factor in the Gram's storage, whose strict
+        # upper triangle (the lower one of the Fortran view) keeps the Gram;
+        # a SciPy that copied or cleaned would fail here, not lose it silently
+        rng = np.random.default_rng(12)
+        r = rng.standard_normal((60, 9))
+        a = np.asfortranarray(r.T @ r)
+        below = np.tril_indices(9, -1)
+        a[below] = np.nan
+        factor, info = readout.dpotrf(a, lower=0, clean=0, overwrite_a=1)
+        assert info == 0 and np.shares_memory(factor, a)
+        assert np.isnan(factor[below]).all()
+        assert np.array_equal(np.triu(factor), np.triu(cho_factor(r.T @ r)[0]))
+
+    def test_solver_factors_in_the_gram_storage(self, monkeypatch):
+        calls = []
+        real = readout.dpotrf
+        monkeypatch.setattr(readout, "dpotrf", lambda a, **k: calls.append(
+            (a, k)) or real(a, **k))
+        rng = np.random.default_rng(15)
+        system = normal_equations(rng.standard_normal((50, 7)), rng.standard_normal(50))
+        for lam in (0.0, 1e-6):
+            system.solve(lam)
+        assert len(calls) == 2 and calls[0][0].flags.f_contiguous
+        assert np.shares_memory(calls[0][0], calls[1][0])
+        assert all(k == dict(lower=0, clean=0, overwrite_a=1) for _, k in calls)
+
+    @pytest.mark.parametrize("case", ["states", "negative_zero_column", "negative_zero_gram"])
+    def test_grid_in_any_order_is_bitwise_equal_to_cho_solve(self, monkeypatch, case):
+        # repeats and a return to an earlier strength, each factor formed
+        # over the last one; gram + lambda * eye turns every -0.0 off the
+        # diagonal into +0.0, which only the factor's bits show
+        factors = []
+        real = readout.dpotrf
+        monkeypatch.setattr(readout, "dpotrf", lambda a, **k: factors.append(
+            real(a, **k)) or factors[-1])
+        rng = np.random.default_rng(13)
+        r = rng.standard_normal((120, 33))
+        grid = (1.0, 0.0, 1e-6, 1.0, 1e-10)
+        if case == "negative_zero_column":
+            r[:, 5] = -0.0
+            grid = (1.0, 1e-6, 1.0, 1e-10)
+        system = normal_equations(r, rng.standard_normal((2, 120)))
+        if case == "negative_zero_gram":
+            gram = system.gram
+            gram[5, :5] = gram[:5, 5] = gram[5, 6:] = gram[6:, 5] = -0.0
+            system = readout.NormalEquations(gram.copy(), system.rhs, system.n_rows)
+        gram = system.gram
+        for lam in grid:
+            solve = system.solver(lam)
+            c = cho_factor(gram + lam * np.eye(33))
+            assert np.triu(factors[-1][0]).tobytes() == np.triu(c[0]).tobytes()
+            for rhs in system.rhs:
+                assert solve(rhs).weights.tobytes() == cho_solve(c, rhs).tobytes()
+            assert system.gram.tobytes() == gram.tobytes()
+
+    def test_a_solve_whose_factor_was_overwritten_raises(self):
+        rng = np.random.default_rng(16)
+        system = normal_equations(rng.standard_normal((40, 6)), rng.standard_normal(40))
+        first = system.solver(1e-6)
+        want = first(system.rhs)
+        second = system.solver(1.0)
+        with pytest.raises(ParameterError, match="overwrote"):
+            first(system.rhs)
+        # a strength refused before any factor leaves the last one alive
+        with pytest.raises(ParameterError):
+            system.solver(-1.0)
+        assert np.array_equal(second(system.rhs).weights, system.solve(1.0).weights)
+        assert np.array_equal(system.solver(1e-6)(system.rhs).weights, want.weights)
+
+    def test_a_fit_holds_one_gram(self):
+        # the Gram of a 450 x 401 state matrix and six factors of it: each
+        # factor is formed in the Gram's storage, not in a copy of it
+        tracemalloc.start()
+        try:
+            rng = np.random.default_rng(14)
+            r = rng.standard_normal((450, 401))
+            system = normal_equations(r, rng.standard_normal(450))
+            for lam in (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+                system.solve(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r.nbytes + 1.25 * 401 * 401 * 8
 
     def test_lapack_module_is_the_one_scipy_linalg_calls(self):
         # readout loads SciPy's LAPACK extension from its file, without
