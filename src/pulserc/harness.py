@@ -42,6 +42,11 @@ _STREAM_MASK = 2
 # replications at small V, without stacking all of them at large V.
 _DRIVE_BLOCK_BYTES = 8 * 2**20
 
+# What the points of a drive group share: the fields the drive kernel takes
+# once per block, then those the fit takes once per row; the rest are per row or point.
+_BLOCK_FIELDS = ("num_nodes", "pulse_period", "bandwidth_time", "noise_sigma",
+                 "washout", "train_len", "test_len", "lambda_grid")
+
 _TASKS = ("narma", "surrogate", "csv")
 
 
@@ -121,12 +126,12 @@ class ExperimentSpec:
         """Samples a generated task must provide."""
         return self.washout + self.train_len + self.test_len
 
-    def reservoir_params(self) -> ReservoirParams:
-        """The reservoir constants; noise seeds go per replication."""
+    def reservoir_params(self, noise_seed: int = 0) -> ReservoirParams:
+        """The reservoir constants, its noise stream seeded with ``noise_seed``."""
         return ReservoirParams(
             num_nodes=self.num_nodes, alpha=self.alpha, beta=self.beta,
             gain_c=self.gain_c, pulse_period=self.pulse_period,
-            bandwidth_time=self.bandwidth_time, noise_sigma=self.noise_sigma)
+            bandwidth_time=self.bandwidth_time, noise_sigma=self.noise_sigma, seed=noise_seed)
 
     def to_dict(self) -> dict:
         """Experiment-defining fields, in declaration order. The output
@@ -202,11 +207,10 @@ def run_sweep(
     Axis values may be numbers or text (as the CLI passes them); each is
     read as its field's type, as a spec file reads it. Every point is
     validated, and every series it reads is built (:func:`_run_points`),
-    before any compute and before ``out_path`` is opened. Points that differ only
-    in ``order``, ``ridge_lambda``, ``alpha``, ``beta`` and ``gain_c`` are
-    driven together, one replication's rows sharing a noise draw; those
-    that differ only in ``order`` and ``ridge_lambda`` share their drives,
-    Grams and Cholesky factors. Records come back in lexicographic order over
+    before any compute and before ``out_path`` is opened. Points that share
+    their ``_BLOCK_FIELDS`` are driven together (:func:`_drive_group`), and
+    points whose drive rows are equal share their drives, Grams and
+    Cholesky factors. Records come back in lexicographic order over
     the axes as given and are streamed to ``out_path`` (unless None), each
     once it and every earlier point are done.
     """
@@ -367,19 +371,14 @@ def _run_points(specs: list[ExperimentSpec]):
     """Build every series the points of ``specs`` read (:func:`_series`),
     then return a generator of their records (:func:`_run_groups`).
 
-    Points that differ only in ``order`` and ``ridge_lambda``, which only
-    the targets and the readout read, or in ``alpha``, ``beta`` and
-    ``gain_c``, which the drive kernel takes per row, form a drive group
-    (:func:`_drive_group`). ``pulse_period``, ``bandwidth_time``,
-    ``noise_sigma`` and ``num_nodes`` stay in the group key: the kernel
-    takes one of each per block. A NARMA order that diverges for every
-    redraw, at any replication of any point, is a SpecError before any
-    compute; any other error of the series stage keeps its type.
+    Points with equal ``_BLOCK_FIELDS`` form a drive group
+    (:func:`_drive_group`). A NARMA order that diverges for every redraw,
+    at any replication of any point, is a SpecError before any compute;
+    any other error of the series stage keeps its type.
     """
-    groups: dict[ExperimentSpec, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
-        key = replace(spec, order=0, ridge_lambda=0.0, alpha=0.0, beta=0.0, gain_c=0.0)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(tuple(getattr(spec, k) for k in _BLOCK_FIELDS), []).append(i)
     t0 = time.perf_counter()
     try:
         series = _series(specs)
@@ -467,38 +466,37 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
     in replication order, or the library error that stopped it. As in the
     record, only replication 0 keeps its test predictions and weights.
 
-    Each distinct (replication, alpha, beta, gain_c, input row) of the
-    group is driven once, in blocks of at most ``_DRIVE_BLOCK_BYTES`` of
-    state matrices, and fitted once for all the points whose row it is
-    (:func:`_fit_drive`). A NARMA row differs between orders only where
-    one of them redrew its series. Drives run replication-major, so the
-    rows of one replication, which share its mask and noise seed, sit
-    together in a block and share one noise draw.
+    The points share their ``_BLOCK_FIELDS``, read from the first; each
+    point's replication r is a drive row of its own mask (``mask_seed``,
+    ``mask_kind``), noise seed (``seed``), ``alpha``, ``beta``, ``gain_c``
+    and input row. Each distinct (replication, row) is driven once, in
+    blocks of at most ``_DRIVE_BLOCK_BYTES`` of state matrices, and fitted
+    once for all the points whose row it is (:func:`_fit_drive`). Rows run
+    replication-major, so one replication's rows that share a noise seed
+    sit side by side and, within a block, share one noise draw.
     """
     outcomes: dict = {i: [] for i in group}
     lead = specs[group[0]]
     users: dict[tuple, list[int]] = {}
     # replication-major, so every point fits its replications in order
-    for r in range(lead.replications):
+    for r in range(max(specs[i].replications for i in group)):
         for i in group:
-            spec = specs[i]
-            users.setdefault((r, spec.alpha, spec.beta, spec.gain_c,
-                              series[i][0][r].tobytes()), []).append(i)
-    drives = [(r, points) for (r, *_), points in users.items()]
+            if r < (spec := specs[i]).replications:
+                users.setdefault((r, derive_seed(spec.mask_seed, r, _STREAM_MASK), spec.mask_kind,
+                                  spec.reservoir_params(derive_seed(spec.seed, r, _STREAM_NOISE)),
+                                  series[i][0][r].tobytes()), []).append(i)
+    drives = [(*row[:4], points) for row, points in users.items()]
     del users
-    masks = [generate_mask(lead.num_nodes, derive_seed(lead.mask_seed, r, _STREAM_MASK),
-                           lead.mask_kind).weights for r in range(lead.replications)]
-    params = [replace(specs[points[0]].reservoir_params(),
-                      seed=derive_seed(lead.seed, r, _STREAM_NOISE)) for r, points in drives]
     rep_bytes = lead.total_len * (lead.num_nodes + 1) * 8
     block = max(1, min(len(drives), _DRIVE_BLOCK_BYTES // rep_bytes))
 
     for first in range(0, len(drives), block):
-        rows = slice(first, first + block)
-        inputs = np.stack([series[points[0]][0][r] for r, points in drives[rows]])
-        states = drive_block(inputs, np.stack([masks[r] for r, _ in drives[rows]]),
-                             params[rows], lead.washout)
-        for (r, points), rep_states in zip(drives[rows], states):
+        rows = drives[first:first + block]
+        inputs = np.stack([series[points[0]][0][r] for r, *_, points in rows])
+        masks = np.stack([generate_mask(lead.num_nodes, seed, kind).weights
+                          for _, seed, kind, *_ in rows])
+        states = drive_block(inputs, masks, [params for *_, params, _ in rows], lead.washout)
+        for (r, *_, points), rep_states in zip(rows, states):
             targets = {i: series[i][1][r] for i in points
                        if isinstance(outcomes[i], list)}
             for i, fit in (_fit_drive(specs, rep_states, targets) if targets else {}).items():

@@ -122,8 +122,9 @@ def normal_equations(states: np.ndarray, targets: np.ndarray) -> NormalEquations
             f"states have {r.shape[0]} rows but targets have {ys.shape[1]} entries")
     gram = r.T @ r
     rhs = np.stack([r.T @ row for row in ys])
-    # a non-finite state or target reaches the Gram's diagonal or R.T @ y
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+    # a non-finite state or target reaches the Gram's diagonal or R.T @ y,
+    # and so their max or min: NaN propagates, +-inf is the max or the min
+    if not all(map(math.isfinite, (gram.max(), gram.min(), rhs.max(), rhs.min()))):
         raise ParameterError(
             "normal equations are not finite: states and targets must be finite")
     return NormalEquations(gram, rhs if y.ndim == 2 else rhs[0], r.shape[0])

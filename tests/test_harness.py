@@ -477,6 +477,18 @@ def _sweep_points(base: ExperimentSpec, axes) -> list[ExperimentSpec]:
             for combo in itertools.product(*(values for _, values in axes))]
 
 
+# one value per spec field a point may set, each different from the base
+# of TestDriveGroups.test_group_key_is_complete; csv_input names a second
+# file in that test's directory
+_POINT_FIELD_CHANGES = dict(
+    task="surrogate", order=3, compat_narma_sum=True, csv_input="other.csv",
+    csv_target="column:u", standardize=True, num_nodes=12, alpha=0.5, beta=0.5,
+    gain_c=1.7, pulse_period=5e-9, bandwidth_time=30e-9, noise_sigma=0.02,
+    mask_kind="binary", mask_seed=4, washout=30, train_len=210, test_len=90,
+    ridge_lambda=1e-3, lambda_grid=(1e-6, 1e-2), replications=3, seed=8)
+_POINT_FIELDS = [k for k in harness.SPEC_TYPES if k not in ("schema", "out")]
+
+
 class TestDriveGroups:
     @staticmethod
     def _count_rows(monkeypatch) -> list[int]:
@@ -613,6 +625,65 @@ class TestDriveGroups:
         # one block per replication, its three alphas drawing one stream;
         # one group per alpha would drive blocks of 3 and 1 and draw 12
         assert rows == [3, 3, 3, 3] and sum(streams) == 4
+        monkeypatch.undo()
+        for rec, spec in zip(records, _sweep_points(base, axes)):
+            assert same_records(rec, run_experiment(spec))
+
+    def test_every_point_field_has_a_change(self):
+        # a new spec field fails here until it has a value in the table
+        assert set(_POINT_FIELD_CHANGES) == set(_POINT_FIELDS)
+
+    @pytest.mark.parametrize("field", _POINT_FIELDS)
+    def test_group_key_is_complete(self, tmp_path, field):
+        # two points that differ in one field, block field or row
+        # property, come out as their standalone runs
+        base = small_spec(noise_sigma=0.01)
+        if field.startswith("csv_"):
+            base = self._csv_spec(tmp_path, noise_sigma=0.01)
+        value = _POINT_FIELD_CHANGES[field]
+        if field == "csv_input":
+            # the base file's rows in reverse order
+            header, *lines = Path(base.csv_input).read_text().splitlines(keepends=True)
+            (tmp_path / value).write_text(header + "".join(reversed(lines)))
+            value = str(tmp_path / value)
+        changed = replace(base, **{field: value})
+        swept = list(harness._run_points([base, changed]))
+        assert all(map(same_records, swept, map(run_experiment, (base, changed))))
+        # the change reaches the result
+        assert swept[0].pearson_reps != swept[1].pearson_reps
+
+    def test_seed_and_mask_points_fill_blocks(self, monkeypatch):
+        base = small_spec(noise_sigma=0.01)
+        points = _sweep_points(base, [("seed", [7, 8]), ("mask_seed", [3, 4]),
+                                      ("mask_kind", ["uniform", "binary"])])
+        rows = self._count_rows(monkeypatch)
+        records = list(harness._run_points(points))
+        # every point's two replications in one block, not one block per point
+        assert rows == [16]
+        rows.clear()
+        monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES",
+                            5 * base.total_len * (base.num_nodes + 1) * 8)
+        capped = list(harness._run_points(points))
+        assert rows == [5, 5, 5, 1]
+        monkeypatch.undo()
+        for rec, again, spec in zip(records, capped, points):
+            assert same_records(rec, run_experiment(spec)) and same_records(again, rec)
+
+    def test_replication_points_share_drives(self, monkeypatch):
+        # replications 0 and 1 are one drive each, for both points; the
+        # records are test_group_key_is_complete[replications]'s
+        rows = self._count_rows(monkeypatch)
+        run_sweep(small_spec(), [("replications", [2, 3])])
+        assert sum(rows) == 3
+
+    def test_seed_sweep_is_one_block(self, monkeypatch):
+        # ten one-replication points at V = 35 and the default lengths
+        # fill one 8 MiB block
+        base = ExperimentSpec(num_nodes=35, replications=1)
+        axes = [("seed", list(range(10)))]
+        rows = self._count_rows(monkeypatch)
+        records = run_sweep(base, axes)
+        assert rows == [10]
         monkeypatch.undo()
         for rec, spec in zip(records, _sweep_points(base, axes)):
             assert same_records(rec, run_experiment(spec))
