@@ -93,6 +93,9 @@ class ExperimentSpec:
             raise SpecError(f"task must be one of {_TASKS}, got {self.task!r}")
         if self.task == "csv" and not (self.csv_input and self.csv_target):
             raise SpecError("task 'csv' needs csv_input and csv_target")
+        for name in ("csv_input", "csv_target"):  # each is a cell of a results row
+            if re.search(r"[\t\n\r]", getattr(self, name)):
+                raise SpecError(f"{name} holds a tab or line break: {getattr(self, name)!r}")
         if self.mask_kind not in MASK_KINDS:
             raise SpecError(
                 f"mask_kind must be one of {MASK_KINDS}, got {self.mask_kind!r}")
@@ -158,11 +161,10 @@ SWEEPABLE_FIELDS = frozenset(
 
 @dataclass
 class ResultRecord:
-    """Outcome of one experiment: spec echo, per-replication metrics,
+    """Outcome of one experiment: its spec, per-replication metrics,
     aggregates, and the first replication's test trace."""
 
-    spec_fields: dict
-    spec_hash: str
+    spec: ExperimentSpec
     pearson_reps: list[float]
     nrmse_reps: list[float]
     lambda_reps: list[float]
@@ -249,14 +251,9 @@ def emit_figure_data(records: list[ResultRecord], figure: str, out) -> None:
     if figure == "pearson_vs_N":
         lines = ["N\tV\tpearson_mean\tpearson_std"]
         for rec in records:
-            missing = [k for k in ("order", "num_nodes") if k not in rec.spec_fields]
-            if missing:
-                raise SpecError(
-                    f"record lacks field(s) {missing}; available: "
-                    f"{', '.join(sorted(rec.spec_fields))}")
             lines.append("\t".join((
-                _fmt_value(rec.spec_fields["order"]),
-                _fmt_value(rec.spec_fields["num_nodes"]),
+                _fmt_value(rec.spec.order),
+                _fmt_value(rec.spec.num_nodes),
                 _fmt_value(rec.pearson_mean),
                 _fmt_value(rec.pearson_std),
             )))
@@ -514,8 +511,7 @@ def _record(spec: ExperimentSpec, fits: list, targets, duration: float) -> Resul
     """Aggregate one point's per-replication fits into its record."""
     pearsons, nrmses, lambdas, predictions, weights = map(list, zip(*fits))
     return ResultRecord(
-        spec_fields=spec.to_dict(),
-        spec_hash=spec.spec_hash(),
+        spec=spec,
         pearson_reps=pearsons,
         nrmse_reps=nrmses,
         lambda_reps=lambdas,
@@ -663,7 +659,7 @@ def write_records(path, base: ExperimentSpec, axes, records) -> list[ResultRecor
             fh.write(f"# axis: {name} = {','.join(map(_fmt_value, values))}\n")
         fh.write("\t".join(_RECORD_COLUMNS) + "\n")
         for rec in records:
-            cells = {**rec.spec_fields, **vars(rec)}
+            cells = {**rec.spec.to_dict(), "spec_hash": rec.spec.spec_hash(), **vars(rec)}
             fh.write("\t".join(_fmt_value(cells[k]) for k in _RECORD_COLUMNS) + "\n")
             fh.flush()
             done.append(rec)
@@ -674,9 +670,10 @@ def read_records(path) -> list[ResultRecord]:
     """Inverse of :func:`write_records`: every row of a results file as a
     record, each column parsed back to its type as spec values are.
 
-    Floats come back as written (12 significant digits). A results file
-    holds no durations and no test traces, so ``duration_s`` is NaN and
-    the trace fields are None.
+    Floats come back as written (12 significant digits); each row's spec
+    takes ``path`` as its output path and must hash to the row's
+    ``spec_hash``. A results file holds no durations and no test traces,
+    so ``duration_s`` is NaN and the trace fields are None.
     """
     schema, names, records = None, None, []
     with open(path, "r", encoding="utf-8") as fh:
@@ -707,10 +704,11 @@ def read_records(path) -> list[ResultRecord]:
                           for k, kind in _RECORD_COLUMNS.items()}
             except ValueError as exc:
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
-            spec_fields = {"schema": SCHEMA_VERSION,
-                           **{k: values.pop(k) for k in SPEC_TYPES if k in values}}
-            records.append(ResultRecord(spec_fields=spec_fields,
-                                        duration_s=math.nan, **values))
+            spec = ExperimentSpec(out=str(path),
+                                  **{k: values.pop(k) for k in SPEC_TYPES if k in values})
+            if values.pop("spec_hash") != spec.spec_hash():
+                raise SpecError(f"{path}:{lineno}: the row's fields do not hash to its spec_hash")
+            records.append(ResultRecord(spec=spec, duration_s=math.nan, **values))
     if names is None:
         raise SpecError(f"{path}: no table header found")
     return records

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._scipy import _sigtools
 from .errors import (
     CsvParseError,
     DegenerateVarianceError,
@@ -44,14 +45,14 @@ class TaskDataset:
     """Paired input/target series of equal length.
 
     How a series splits into washout, training and test regions is the
-    experiment's choice, not the task's. ``meta`` carries provenance such
-    as file paths, the NARMA seed actually used, or transform constants.
+    experiment's choice, not the task's. ``redraws`` counts the seeds a
+    NARMA draw skipped: it was drawn at its config's seed plus ``redraws``.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     name: str
-    meta: dict = field(default_factory=dict)
+    redraws: int = 0
 
     def __post_init__(self) -> None:
         u = np.asarray(self.inputs, dtype=float)
@@ -150,7 +151,7 @@ def gen_narma_lockstep(cfgs: list[NarmaConfig],
             i, seed = rows[k]
             if drawn[i] is None:
                 drawn[i] = TaskDataset(u[k].copy(), y[k].copy(), name=f"narma{cfgs[i].order}",
-                                       meta={"effective_seed": seed, "compat_sum": compat_sum})
+                                       redraws=seed - cfgs[i].seed)
         todo, attempt = [i for i in todo if drawn[i] is None], attempts.stop
     return drawn
 
@@ -278,8 +279,7 @@ def load_csv_task(input_path, target) -> TaskDataset:
         raise CsvParseError(
             f"{input_path}: need at least 10 rows, got {u.size}")
     name = f"csv:{os.path.basename(str(input_path))}->{target_desc}"
-    return TaskDataset(u, y, name=name,
-                       meta={"input_path": str(input_path), "target": str(target)})
+    return TaskDataset(u, y, name=name)
 
 
 def gen_surrogate_laser(length: int, seed: int) -> TaskDataset:
@@ -299,23 +299,14 @@ def gen_surrogate_laser(length: int, seed: int) -> TaskDataset:
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(length)
     pole = _PUMP_AR_POLE
-    b0 = math.sqrt(1.0 - pole * pole)
-    # the AR(1) filter on plain floats, bitwise equal to
-    # lfilter([b0], [1, -pole], white)
-    ar = []
-    a = 0.0
-    for w in white.tolist():
-        a = b0 * w + pole * a
-        ar.append(a)
-    x = _PUMP_SCALE * np.array(ar)
+    # lfilter([sqrt(1 - pole²)], [1, -pole], white), called as lfilter calls it
+    ar = _sigtools._linear_filter(np.array([math.sqrt(1.0 - pole * pole)]),
+                                  np.array([1.0, -pole]), white, -1)
+    x = _PUMP_SCALE * ar
     lin = np.convolve(x, _RESPONSE_TAPS)[:length]
     y = np.tanh(_SATURATION * lin) / _SATURATION \
         + _MEASUREMENT_SIGMA * rng.standard_normal(length)
-    return TaskDataset(
-        x, y, name="surrogate-laser",
-        meta={"ar_pole": pole, "input_scale": _PUMP_SCALE,
-              "response_taps": _RESPONSE_TAPS, "saturation": _SATURATION,
-              "measurement_sigma": _MEASUREMENT_SIGMA})
+    return TaskDataset(x, y, name="surrogate-laser")
 
 
 def standardize(ds: TaskDataset, train_len: int) -> TaskDataset:
@@ -323,8 +314,7 @@ def standardize(ds: TaskDataset, train_len: int) -> TaskDataset:
 
     The statistics come from the training region ``inputs[:train_len]``
     (any washout included) only, so nothing after it can leak into
-    training. Targets are untouched; the shift and scale are recorded in
-    ``meta``.
+    training. Targets are untouched.
     """
     if not 1 <= train_len <= ds.length:
         raise ParameterError(
@@ -335,10 +325,7 @@ def standardize(ds: TaskDataset, train_len: int) -> TaskDataset:
     if sd == 0.0:
         raise DegenerateVarianceError(
             "cannot standardize a constant training input")
-    meta = dict(ds.meta)
-    meta["standardize_shift"] = mu
-    meta["standardize_scale"] = sd
-    return replace(ds, inputs=(ds.inputs - mu) / sd, meta=meta)
+    return replace(ds, inputs=(ds.inputs - mu) / sd)
 
 
 def _read_table(path) -> tuple[list[str] | None, list[np.ndarray]]:

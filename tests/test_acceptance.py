@@ -59,7 +59,7 @@ def benchmark_records():
                                ("num_nodes", [35, 100])])
     table = {}
     for rec in records:
-        key = (rec.spec_fields["order"], rec.spec_fields["num_nodes"])
+        key = (rec.spec.order, rec.spec.num_nodes)
         table[key] = (rec.pearson_mean, rec.pearson_std)
     return table
 

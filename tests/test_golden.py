@@ -20,14 +20,16 @@ change that is meant to alter results, under the same pin:
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pulserc
-from pulserc import ExperimentSpec, run_sweep
+from pulserc import ExperimentSpec, SpecError, read_records, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILES = ("narma_sweep.tsv", "csv_sweep.tsv", "surrogate_sweep.tsv")
@@ -88,6 +90,36 @@ def test_sweeps_match_golden_bytes(tmp_path):
                    check=True)
     for name in GOLDEN_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _table(name) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A golden file's column names and its rows, each with its line number."""
+    rows = [(lineno, line.split("\t")) for lineno, line in
+            enumerate((GOLDEN / name).read_text(encoding="utf-8").splitlines(), start=1)
+            if line and not line.startswith("#")]
+    return rows[0][1], rows[1:]
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_golden_rows_read_back_to_their_hash(name):
+    names, rows = _table(name)
+    hashes = [cells[names.index("spec_hash")] for _, cells in rows]
+    assert [rec.spec.spec_hash() for rec in read_records(GOLDEN / name)] == hashes
+
+
+@pytest.mark.parametrize("column, value", [("alpha", "0.71"), ("order", "3"),
+                                           ("lambda_grid", "1e-08,0.0001")])
+def test_edited_field_cell_is_spec_error(tmp_path, column, value):
+    names, rows = _table("narma_sweep.tsv")
+    lineno, cells = rows[3]
+    assert cells[names.index(column)] != value
+    cells[names.index(column)] = value
+    lines = (GOLDEN / "narma_sweep.tsv").read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = "\t".join(cells)
+    edited = tmp_path / "edited.tsv"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SpecError, match=re.escape(f"{edited}:{lineno}: ") + ".*spec_hash"):
+        read_records(edited)
 
 
 if __name__ == "__main__":

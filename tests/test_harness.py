@@ -80,7 +80,7 @@ class TestSpecFile:
         assert (tmp_path / "list.tsv").read_bytes() == \
             (tmp_path / "tuple.tsv").read_bytes()
         [rec] = read_records(tmp_path / "list.tsv")
-        assert rec.spec_fields["lambda_grid"] == (1e-6, 1e-2)
+        assert rec.spec.lambda_grid == (1e-6, 1e-2)
 
     def test_readme_documents_every_field(self):
         text = README.read_text(encoding="utf-8")
@@ -203,6 +203,16 @@ class TestRunExperiment:
         with pytest.raises(SpecError, match="finite"):
             small_spec(**overrides).validate()
 
+    @pytest.mark.parametrize("task", ["narma", "csv"])
+    @pytest.mark.parametrize("name", ["csv_input", "csv_target"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_tab_or_line_break_in_csv_path_rejected(self, task, name, char):
+        # every results row holds both paths as cells, whatever the task
+        spec = small_spec(task=task, **{"csv_input": "u.csv", "csv_target": "y.csv",
+                                        name: f"a{char}b.csv"})
+        with pytest.raises(SpecError, match=f"{name} holds a tab or line break"):
+            spec.validate()
+
     def test_two_held_out_rows_run(self):
         # 6 training rows: the grid fits on 4 and scores on 2
         rec = run_experiment(small_spec(train_len=6, lambda_grid=(1e-6, 1e-2),
@@ -283,7 +293,7 @@ class TestRunExperiment:
 
 def same_records(a: ResultRecord, b: ResultRecord) -> bool:
     """Every deterministic field of two records is equal."""
-    return (a.spec_hash == b.spec_hash and a.pearson_reps == b.pearson_reps
+    return (a.spec.to_dict() == b.spec.to_dict() and a.pearson_reps == b.pearson_reps
             and a.nrmse_reps == b.nrmse_reps and a.lambda_reps == b.lambda_reps
             and np.array_equal(a.trace_targets, b.trace_targets)
             and np.array_equal(a.trace_predictions, b.trace_predictions)
@@ -411,8 +421,7 @@ class TestSweep:
                              ("num_nodes", [10, 20])],
                             out_path=tmp_path / "r.tsv")
         assert len(records) == 10
-        orders = [rec.spec_fields["order"]
-                  for rec in read_records(tmp_path / "r.tsv")]
+        orders = [rec.spec.order for rec in read_records(tmp_path / "r.tsv")]
         assert orders == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
 
     def test_empty_axes(self):
@@ -446,20 +455,20 @@ class TestSweep:
             run_sweep(spec, [("num_nodes", [20, 100])], out_path=out)
         assert "# axis: num_nodes = 20,100\n" in out.read_text()
         [rec] = read_records(out)
-        assert rec.spec_fields["num_nodes"] == 20
+        assert rec.spec.num_nodes == 20
         # the same holds for a point that fails inside its drive group: at
         # V = 100, 100 training rows cannot carry lambda = 0
         spec = small_spec(replications=1, num_nodes=100, train_len=100)
         with pytest.raises(SingularSystemError):
             run_sweep(spec, [("ridge_lambda", [1e-6, 0.0])], out_path=out)
         [rec] = read_records(out)
-        assert rec.spec_fields["ridge_lambda"] == 1e-6
+        assert rec.spec.ridge_lambda == 1e-6
 
     def test_axis_text_takes_the_field_type(self, tmp_path):
         records = run_sweep(small_spec(replications=1),
                             [("num_nodes", ["10.0", "12"]), ("alpha", ["0.5"])],
                             out_path=tmp_path / "r.tsv")
-        assert [(r.spec_fields["num_nodes"], r.spec_fields["alpha"])
+        assert [(r.spec.num_nodes, r.spec.alpha)
                 for r in records] == [(10, 0.5), (12, 0.5)]
         assert "# axis: num_nodes = 10,12\n" in (tmp_path / "r.tsv").read_text()
 
@@ -564,8 +573,8 @@ class TestDriveGroups:
                       for r in range(base.replications)]
 
         def redraws(order):
-            return [gen_narma(NarmaConfig(order, base.total_len, seed))
-                    .meta["effective_seed"] - seed for seed in task_seeds]
+            return [gen_narma(NarmaConfig(order, base.total_len, seed)).redraws
+                    for seed in task_seeds]
 
         # at this seed replication 2 of NARMA-10 redraws its input once
         # and NARMA-2 redraws none
@@ -821,7 +830,7 @@ class TestFigureData:
     def test_perfect_fit_trace(self, tmp_path):
         y = np.linspace(0.0, 1.0, 50)
         rec = ResultRecord(
-            spec_fields={"order": 2, "num_nodes": 10}, spec_hash="x",
+            spec=ExperimentSpec(order=2, num_nodes=10),
             pearson_reps=[1.0], nrmse_reps=[0.0], lambda_reps=[0.0],
             pearson_mean=1.0, pearson_std=0.0, nrmse_mean=0.0, nrmse_std=0.0,
             duration_s=0.0, trace_targets=y, trace_predictions=y.copy())
@@ -830,15 +839,6 @@ class TestFigureData:
         rows = [ln.split("\t") for ln in out.read_text().strip().split("\n")[1:]]
         assert len(rows) == 50
         assert all(r[1] == r[2] for r in rows)
-
-    def test_missing_axis_reports_available(self, tmp_path):
-        rec = ResultRecord(
-            spec_fields={"alpha": 0.7}, spec_hash="x",
-            pearson_reps=[1.0], nrmse_reps=[0.0], lambda_reps=[0.0],
-            pearson_mean=1.0, pearson_std=0.0, nrmse_mean=0.0, nrmse_std=0.0,
-            duration_s=0.0)
-        with pytest.raises(SpecError, match="alpha"):
-            emit_figure_data([rec], "pearson_vs_N", tmp_path / "fig.tsv")
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(SpecError, match="unknown figure"):
@@ -865,8 +865,8 @@ class TestCli:
         assert main(["run", "--spec", str(path), "--out", str(out),
                      "--replications", "2", "--seed", "99"]) == 0
         [rec] = read_records(out)
-        assert rec.spec_fields["seed"] == 99
-        assert rec.spec_fields["replications"] == 2
+        assert rec.spec.seed == 99
+        assert rec.spec.replications == 2
 
     def test_sweep(self, tmp_path):
         path = self._spec_file(tmp_path)
@@ -946,6 +946,9 @@ class TestCli:
           for n in (2, 3, 4, 5)],
         ({}, ["sweep", "--axis", "order=2", "--axis", "order=3"], "'order'"),
         ({}, ["sweep", "--axis", "order="], "no values"),
+        # a spec file keeps a tab inside a value
+        (dict(task="csv", csv_input="u\t1.csv", csv_target="column:y"), ["run"],
+         "csv_input holds a tab"),
     ])
     def test_spec_error_before_compute(self, tmp_path, monkeypatch, capsys,
                                        overrides, args, word):
@@ -1069,7 +1072,7 @@ class TestCli:
         assert main(["run", "--spec", str(path), "--out", str(out),
                      "--compat-narma-sum"]) == 0
         [rec] = read_records(out)
-        assert rec.spec_fields["compat_narma_sum"] is True
+        assert rec.spec.compat_narma_sum is True
 
     def test_figure_pearson_from_records(self, tmp_path):
         path = self._spec_file(tmp_path)
@@ -1143,7 +1146,7 @@ class TestRecordsFile:
         text = out.read_text()
         assert "# spec: alpha = 0.7" in text
         assert "# axis: order = 2" in text
-        assert rec.spec_hash in text
+        assert rec.spec.spec_hash() in text
 
     def test_no_volatile_fields(self, tmp_path):
         # nothing time-dependent may reach the file, or rerun identity breaks
@@ -1167,9 +1170,9 @@ class TestRecordsFile:
             return float(format(x, ".12g"))
 
         for rec, got in zip(records, back):
-            assert got.spec_fields == rec.spec_fields
-            assert list(got.spec_fields) == list(rec.spec_fields)
-            assert got.spec_hash == rec.spec_hash
+            assert got.spec.to_dict() == rec.spec.to_dict()
+            assert list(got.spec.to_dict()) == list(rec.spec.to_dict())
+            assert got.spec.spec_hash() == rec.spec.spec_hash()
             for name in ("pearson_mean", "pearson_std", "nrmse_mean",
                          "nrmse_std"):
                 assert getattr(got, name) == written(getattr(rec, name))
@@ -1188,7 +1191,7 @@ class TestRecordsFile:
         rec = run_experiment(spec)
         out = tmp_path / "res.tsv"
         assert write_records(out, spec, [], iter([rec])) == [rec]
-        assert [r.spec_hash for r in read_records(out)] == [rec.spec_hash]
+        assert [r.spec.to_dict() for r in read_records(out)] == [rec.spec.to_dict()]
 
     def test_read_records_rejects_other_schema(self, tmp_path):
         spec = small_spec(replications=1)

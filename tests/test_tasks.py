@@ -133,7 +133,7 @@ class TestGenNarma:
             ds = gen_narma(cfg, compat_sum=compat)
             assert np.array_equal(ds.inputs, want[0])
             assert np.array_equal(ds.targets, want[1])
-            assert ds.meta["effective_seed"] == want[2]
+            assert cfg.seed + ds.redraws == want[2]
 
     def test_pairwise_sum_bitwise_equal_to_numpy(self):
         # windows of 8 to 300 terms, over many orders of magnitude, so the
@@ -187,7 +187,7 @@ class TestGenNarma:
 class TestNarmaLockstep:
     @staticmethod
     def assert_each_equals_gen_narma(cfgs, compat):
-        """Every lockstep row equals its own scalar draw, effective seed
+        """Every lockstep row equals its own scalar draw, redraw count
         included; a row is None exactly where the scalar draw raises.
         Returns the rows' redraw counts, None for a row that has none."""
         redraws = []
@@ -200,8 +200,8 @@ class TestNarmaLockstep:
             want = gen_narma(cfg, compat_sum=compat)
             assert np.array_equal(got.inputs, want.inputs)
             assert np.array_equal(got.targets, want.targets)
-            assert got.meta == want.meta and got.name == want.name
-            redraws.append(got.meta["effective_seed"] - cfg.seed)
+            assert got.redraws == want.redraws and got.name == want.name
+            redraws.append(got.redraws)
         return redraws
 
     @staticmethod
@@ -218,7 +218,7 @@ class TestNarmaLockstep:
                 continue
             assert np.array_equal(got.inputs, want[0])
             assert np.array_equal(got.targets, want[1])
-            assert got.meta["effective_seed"] == want[2]
+            assert cfg.seed + got.redraws == want[2]
             redraws.append(want[2] - cfg.seed)
         return redraws
 
@@ -436,8 +436,9 @@ class TestStandardize:
         a = standardize(self._dataset(base), 60)
         b = standardize(self._dataset(poisoned), 60)
         assert np.array_equal(a.inputs[:60], b.inputs[:60])
-        assert a.meta["standardize_shift"] == b.meta["standardize_shift"]
-        assert a.meta["standardize_scale"] == b.meta["standardize_scale"]
+        # both are shifted and scaled by the clean training region's statistics
+        assert np.array_equal(b.inputs, (poisoned - base[:60].mean()) / base[:60].std())
+        assert np.array_equal(a.inputs, (base - base[:60].mean()) / base[:60].std())
 
 
 class TestTaskDataset:
