@@ -214,7 +214,8 @@ def run_sweep(
     points whose drive rows are equal share their drives, Grams and
     Cholesky factors. Records come back in lexicographic order over
     the axes as given and are streamed to ``out_path`` (unless None), each
-    once it and every earlier point are done.
+    once it and every earlier point are done; their specs then name
+    ``out_path`` as their output, as :func:`read_records` gives them.
     """
     base.validate()
     typed: dict[str, list] = {}
@@ -231,7 +232,8 @@ def run_sweep(
             typed[name] = [_parse_value(SPEC_TYPES[name], str(v)) for v in values]
         except ValueError as exc:
             raise SpecError(f"field {name!r}: {exc}") from exc
-    specs = [replace(base, **dict(zip(typed, combo)))
+    out = base.out if out_path is None else str(out_path)
+    specs = [replace(base, out=out, **dict(zip(typed, combo)))
              for combo in itertools.product(*typed.values())]
     for s in specs:
         s.validate()

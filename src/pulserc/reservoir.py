@@ -179,12 +179,12 @@ def step(
     measured node values for this sample. ``rng`` supplies the
     detection-noise stream and must be shared across the steps of one run;
     it is required when noise is on, since a generator re-seeded on every
-    call would repeat the same noise vector at every step.
+    call would repeat the same noise vector at every step. The sample is
+    one call on :func:`drive_block`, from ``state``.
     """
     w = mask.weights
     if w.size != params.num_nodes:
-        raise DimensionError(
-            f"mask length {w.size} != num_nodes {params.num_nodes}")
+        raise DimensionError(f"mask length {w.size} != num_nodes {params.num_nodes}")
     if state.measurements.size != params.num_nodes:
         raise DimensionError(
             f"state length {state.measurements.size} != num_nodes {params.num_nodes}")
@@ -193,29 +193,10 @@ def step(
     if params.noise_sigma > 0.0 and rng is None:
         raise ParameterError("noise_sigma > 0 needs an rng shared across steps")
 
-    eps = params.coupling
-    phi = params.beta * w * input_value + params.alpha * state.measurements
-    sines = np.sin(phi)
-
-    if params.filter_mode == "two_term":
-        prev = np.empty_like(sines)
-        prev[0] = state.carry
-        prev[1:] = sines[:-1]
-        row = params.gain_c * (eps * prev + (1.0 - eps) * sines)
-        carry = float(sines[-1])
-    else:
-        drive = params.gain_c * (1.0 - eps) * sines
-        row = np.empty_like(drive)
-        s = state.carry
-        for j in range(row.size):
-            s = eps * s + drive[j]
-            row[j] = s
-        carry = float(s)
-
-    if params.noise_sigma > 0.0:
-        row = row + rng.normal(0.0, params.noise_sigma, row.size)
-
-    return ReservoirState(row, carry), row
+    end = (np.array(state.measurements, ndmin=2), np.array([state.carry], dtype=float))
+    row = drive_block(np.array([[input_value]], dtype=float), w[None, :], [params], 0,
+                      end, {params.seed: rng})[0, 0, :-1]
+    return ReservoirState(row, float(end[1][0])), row
 
 
 def run(
@@ -254,24 +235,30 @@ def drive_block(
     masks: np.ndarray,
     params: list[ReservoirParams],
     washout: int,
+    state: tuple[np.ndarray, np.ndarray] | None = None,
+    generators: dict[int, np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Advance G independent reservoirs in lockstep (internal kernel).
 
     Row g of ``inputs`` (G, L) drives a reservoir with input weights
     ``masks[g]`` (G, V) and the constants ``params[g]``, which may differ
-    from row to row only in alpha, beta, gain_c and seed; when noise is on,
-    ``params[g].seed`` seeds its noise stream, and rows that share a seed
-    share one draw. Returns the (G, L - washout, V + 1) state matrices,
-    each bitwise equal to a :func:`step` loop from the zero state: every
-    ufunc applies ``step``'s operands in ``step``'s order, and noise is
-    drawn for every step, so the stream does not depend on the washout.
-    Arguments are trusted; :func:`run` checks them.
+    from row to row only in alpha, beta, gain_c and seed, from ``state``,
+    a (measurements (G, V), carries (G,)) pair as :class:`ReservoirState`
+    holds them, or from zero. Returns the (G, L - washout, V + 1) state
+    matrices, and overwrites ``state`` with the end state. When noise is
+    on, row g draws from ``generators[params[g].seed]`` (or from
+    ``default_rng(seed)``) at every step, once per seed, so calls that
+    pass on the state pair and the generators continue one drive bit for
+    bit. This is the one implementation of the update equations: every
+    ufunc applies the operands of the per-step oracle, ``oracle_step`` in
+    ``tests/test_reservoir.py``, in its order. Arguments are trusted;
+    :func:`run` and :func:`step` check them.
 
-    The steps run in chunks of ``_NOISE_CHUNK``: the input products and
-    the noise of a chunk are formed in one call each (per seed), its rows
-    are written to a chunk buffer and copied past the washout in one
-    slice, and only the feedback-dependent ufuncs run per step, each
-    passed its output by position and its constants as 0-d arrays.
+    The steps run in chunks of up to ``_NOISE_CHUNK``: a chunk's input
+    products and noise are formed in one call each (per seed), its rows
+    are copied past the washout in one slice, and only the
+    feedback-dependent ufuncs run per step, each passed its output by
+    position and its constants as 0-d arrays.
     """
     g, length = inputs.shape
     lead = params[0]
@@ -284,7 +271,7 @@ def drive_block(
     # reservoirs innermost, so every per-step operand, the per-row alpha
     # and gain included, is one contiguous block and a node's predecessor
     # sits one block of G entries earlier.
-    chunk = _NOISE_CHUNK
+    chunk = min(_NOISE_CHUNK, length)
     input_weights = (np.array([p.beta for p in params])[:, None] * masks).T
     alpha = np.tile([p.alpha for p in params], (v, 1))
     # the gain multiply is exact, so skip it when every row's gain is 1
@@ -292,8 +279,8 @@ def drive_block(
     gain = np.tile([p.gain_c if two_term else p.gain_c * (1.0 - eps)
                     for p in params], (v, 1))
     phi = np.empty((chunk, v, g))
-    # a chunk's rows; the last slot starts as the zero state and carries
-    # the previous chunk's last row into the next chunk's first step
+    # a chunk's rows; the last slot holds the start state's measurements
+    # and carries the previous chunk's last row into the next chunk's first step
     rows = np.zeros((chunk, v, g))
     noise = np.zeros((chunk, v, g))
     feedback = np.empty((v, g))
@@ -301,16 +288,20 @@ def drive_block(
     mixed = np.empty((v, g))
     # eps * sin of a chunk's steps: step j writes nodes [j*V + 1,
     # (j+1)*V + 1), so its predecessor terms are the adjacent nodes
-    # [j*V, (j+1)*V); node 0 holds the previous chunk's last one
+    # [j*V, (j+1)*V); node 0 holds the previous chunk's last one, or the start's
     ring = np.zeros((chunk * v + 1, g))
     carry = np.zeros((1, g))  # low-pass state of the "full" filter
     taps, poles = np.array([1.0]), np.array([1.0, -eps])  # its arrays, as lfilter passes them
+    if state is not None:  # the start's feedback, first predecessor term and low-pass state
+        rows[-1], ring[0], carry[0] = state[0].T, eps * state[1], state[1]
 
     # one generator per distinct seed, and the columns its draws go to
     streams: dict[int, list[int]] = {}
     for col, p in enumerate(params if sigma > 0.0 else ()):
         streams.setdefault(p.seed, []).append(col)
-    rngs = [(np.random.default_rng(seed), cols) for seed, cols in streams.items()]
+    generators = generators or {}
+    rngs = [(generators.get(seed) or np.random.default_rng(seed), cols)
+            for seed, cols in streams.items()]
     views = [(phi[j], rows[j - 1], rows[j], ring[j * v:(j + 1) * v],
               ring[j * v + 1:(j + 1) * v + 1], noise[j]) for j in range(chunk)]
 
@@ -344,4 +335,6 @@ def drive_block(
         if first < k0 + steps:
             out[:, first - washout:k0 + steps - washout, :v] = \
                 rows[first - k0:steps].transpose(2, 0, 1)
+    if state is not None:
+        state[0][...], state[1][...] = rows[steps - 1].T, sines[-1] if two_term else carry[0]
     return out

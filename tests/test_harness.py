@@ -1186,6 +1186,12 @@ class TestRecordsFile:
         write_records(again, spec, axes, back)
         assert again.read_bytes() == out.read_bytes()
 
+    def test_sweep_records_equal_their_read_back_twins(self, tmp_path):
+        out = tmp_path / "res.tsv"
+        records = run_sweep(small_spec(replications=2), [("order", [2, 3])], out)
+        assert [rec.spec for rec in records] == [rec.spec for rec in read_records(out)]
+        assert {rec.spec.out for rec in records} == {str(out)}
+
     def test_write_records_streams_any_iterable(self, tmp_path):
         spec = small_spec(replications=1)
         rec = run_experiment(spec)

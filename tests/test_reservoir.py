@@ -311,15 +311,45 @@ class TestRun:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def step_loop(inputs, masks, params, washout):
-    """The drive kernel's reference: one ``step`` per sample and row, from
-    the zero state, with the row's constants and one noise generator per
-    row, seeded with its seed."""
+def oracle_step(state, input_value, w, params, rng=None):
+    """One sample of the update equations, transcribed per step: the
+    per-step oracle the drive kernel is checked against bit for bit. It
+    keeps the operands and their order that the kernel's ufuncs apply,
+    and runs the ``full`` filter's low-pass scan node by node."""
+    eps = params.coupling
+    phi = params.beta * w * input_value + params.alpha * state.measurements
+    sines = np.sin(phi)
+    if params.filter_mode == "two_term":
+        prev = np.empty_like(sines)
+        prev[0] = state.carry
+        prev[1:] = sines[:-1]
+        row = params.gain_c * (eps * prev + (1.0 - eps) * sines)
+        carry = float(sines[-1])
+    else:
+        drive = params.gain_c * (1.0 - eps) * sines
+        row = np.empty_like(drive)
+        s = state.carry
+        for j in range(row.size):
+            s = eps * s + drive[j]
+            row[j] = s
+        carry = float(s)
+    if params.noise_sigma > 0.0:
+        row = row + rng.normal(0.0, params.noise_sigma, row.size)
+    return ReservoirState(row, carry), row
+
+
+def step_loop(inputs, masks, params, washout, start=None):
+    """The drive kernel's reference: one :func:`oracle_step` per sample
+    and row, with the row's constants and one noise generator per row,
+    seeded with its seed, from the zero state or from ``start``, a pair
+    of measurements (G, V) and carries (G,) as ``drive_block`` takes it."""
     out = []
-    for u, w, p in zip(inputs, masks, params):
-        state, rng, rows = zero_state(p), np.random.default_rng(p.seed), []
+    for g, (u, w, p) in enumerate(zip(inputs, masks, params)):
+        state = (zero_state(p) if start is None
+                 else ReservoirState(start[0][g].copy(), float(start[1][g])))
+        rng, rows = np.random.default_rng(p.seed), []
         for k, value in enumerate(u):
-            state, row = step(state, float(value), Mask(w), p, rng=rng)
+            state, row = oracle_step(state, float(value), w, p, rng)
             if k >= washout:
                 rows.append(np.append(row, 1.0))
         out.append(rows)
@@ -408,6 +438,57 @@ class TestDriveBlock:
         inputs = np.random.default_rng(7).uniform(0, 0.5, 30)
         want = step_loop(inputs[None, :], mask.weights[None, :], [params], 5)[0]
         assert np.array_equal(run(inputs, mask, params, washout=5), want)
+
+
+class TestStartState:
+    """The kernel drives from any state and continues a drive across
+    calls; ``step`` is its one-sample call."""
+
+    @pytest.mark.parametrize("v", [1, 2, 35])
+    @pytest.mark.parametrize("filter_mode", ["two_term", "full"])
+    @pytest.mark.parametrize("gain_c", [1.0, 1.7])
+    def test_step_equals_oracle_from_random_states(self, v, filter_mode, gain_c):
+        # every step starts from a fresh random non-zero state, noise on
+        rng = np.random.default_rng(100 * v + int(10 * gain_c))
+        params = ReservoirParams(num_nodes=v, alpha=0.8, beta=1.2, gain_c=gain_c,
+                                 noise_sigma=0.03, seed=5, filter_mode=filter_mode)
+        mask = generate_mask(v, 3)
+        noise_got, noise_want = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(150):
+            start = ReservoirState(rng.uniform(-1.0, 1.0, v), carry=float(rng.uniform(-1.0, 1.0)))
+            u, before = float(rng.uniform(-1.0, 1.0)), start.measurements.copy()
+            state, row = step(start, u, mask, params, rng=noise_got)
+            want_state, want_row = oracle_step(start, u, mask.weights, params, noise_want)
+            assert np.array_equal(row, want_row)
+            assert np.array_equal(state.measurements, want_state.measurements)
+            assert state.carry == want_state.carry
+            assert np.array_equal(start.measurements, before)  # the start is not mutated
+
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("v", [1, 2, 35])
+    @pytest.mark.parametrize("filter_mode", ["two_term", "full"])
+    def test_split_drive_equals_one_call(self, g, v, filter_mode):
+        # 300 steps from a random state, split at step 101 (inside the
+        # second chunk); rows 0 and 1 share a noise seed, and gains 1 and
+        # 1.7 mix in one block
+        rng = np.random.default_rng(50 + 10 * g + v)
+        rows = [ReservoirParams(num_nodes=v, alpha=(0.5, 0.8, 1.1)[k], beta=(0.7, 1.2)[k % 2],
+                                gain_c=(1.0, 1.7)[k % 2], noise_sigma=0.03, seed=40 + k // 2,
+                                filter_mode=filter_mode) for k in range(g)]
+        inputs = rng.uniform(-1.0, 1.0, (g, 300))
+        masks = np.array([generate_mask(v, 10 + k).weights for k in range(g)])
+        start = (rng.uniform(-1.0, 1.0, (g, v)), rng.uniform(-1.0, 1.0, g))
+        whole_state = (start[0].copy(), start[1].copy())
+        whole = drive_block(inputs, masks, rows, 0, whole_state)
+        split_state = (start[0].copy(), start[1].copy())
+        generators = {p.seed: np.random.default_rng(p.seed) for p in rows}
+        head = drive_block(inputs[:, :101], masks, rows, 0, split_state, generators)
+        tail = drive_block(inputs[:, 101:], masks, rows, 0, split_state, generators)
+        assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
+        assert np.array_equal(whole, step_loop(inputs, masks, rows, 0, start))
+        for got, want in zip(split_state, whole_state):
+            assert np.array_equal(got, want)
+        assert np.array_equal(whole_state[0], whole[:, -1, :v])
 
 
 def lfilter_drive(inputs, masks, params, washout):
