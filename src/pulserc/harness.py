@@ -14,6 +14,7 @@ so reruns are byte-identical; :func:`read_records` reads one back.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -413,15 +414,16 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: l
             emitted += 1
 
 
-def _series(specs: list[ExperimentSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
     """Every point's (inputs, targets) from :func:`_replication_series`.
 
     Each CSV task is read once, the call's snapshot of its file, and
     checked against every point's length. Each generated task is drawn
     once, at the most replications any point needs; all NARMA rows in one
-    :func:`gen_narma_lockstep` call per (length, sum convention). Points
-    whose series read the same task, length and standardize split share
-    one pair of arrays, built at the most replications any of them needs.
+    :func:`gen_narma_lockstep` call per (length, sum convention), where
+    the orders at one seed share each input draw. Points whose series read
+    the same task, length and standardize split share one pair of row
+    lists, built at the most replications any of them needs.
     """
     memo: dict = {}
     for spec in specs:
@@ -436,8 +438,9 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[np.ndarray, np.ndarray]]:
     by_reps = sorted(specs, key=lambda spec: spec.replications)
     generated = {_task_key(s): s for s in by_reps if s.task != "csv"}
     passes: dict[tuple, list] = {}
+    seed_of = functools.cache(derive_seed)  # each seed once, whatever the order
     for key, spec in generated.items():
-        seeds = [derive_seed(spec.seed, r, _STREAM_TASK) for r in range(spec.replications)]
+        seeds = [seed_of(spec.seed, r, _STREAM_TASK) for r in range(spec.replications)]
         if spec.task == "surrogate":
             memo[key] = [gen_surrogate_laser(max(100, spec.total_len), seed) for seed in seeds]
         else:
@@ -477,12 +480,13 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
     outcomes: dict = {i: [] for i in group}
     lead = specs[group[0]]
     users: dict[tuple, list[int]] = {}
+    seed_of = functools.cache(derive_seed)  # points share their base seeds
     # replication-major, so every point fits its replications in order
     for r in range(max(specs[i].replications for i in group)):
         for i in group:
             if r < (spec := specs[i]).replications:
-                users.setdefault((r, derive_seed(spec.mask_seed, r, _STREAM_MASK), spec.mask_kind,
-                                  spec.reservoir_params(derive_seed(spec.seed, r, _STREAM_NOISE)),
+                users.setdefault((r, seed_of(spec.mask_seed, r, _STREAM_MASK), spec.mask_kind,
+                                  spec.reservoir_params(seed_of(spec.seed, r, _STREAM_NOISE)),
                                   series[i][0][r].tobytes()), []).append(i)
     drives = [(*row[:4], points) for row, points in users.items()]
     del users
@@ -522,21 +526,22 @@ def _record(spec: ExperimentSpec, fits: list, targets, duration: float) -> Resul
         nrmse_mean=float(np.mean(nrmses)),
         nrmse_std=_spread(nrmses),
         duration_s=duration,
-        # a copy: a view would keep every replication's targets alive
-        trace_targets=targets[0, spec.washout + spec.train_len:].copy(),
+        # a copy: a view would keep the memo's target series alive
+        trace_targets=targets[0][spec.washout + spec.train_len:].copy(),
         trace_predictions=predictions[0],
         readout_first=weights[0],
     )
 
 
-def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, np.ndarray]:
+def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[list, list]:
     """Every replication's (standardized) inputs and targets, cut to the
-    spec's total length, as two (replications, total_len) arrays.
+    spec's total length, as two lists of ``replications`` rows: views of
+    the series, not copies.
 
     ``memo`` holds each task's series: a CSV task's one read of its file,
-    which serves every replication, as it does not depend on the seed; a
-    generated task's series, drawn at least ``total_len`` long. Each
-    series is standardized on its own.
+    whose one pair of rows serves every replication, as it does not depend
+    on the seed; a generated task's series, drawn at least ``total_len``
+    long. Each series is standardized on its own.
     """
     n = spec.total_len
     if spec.task == "csv":
@@ -545,8 +550,7 @@ def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[np.ndarray, n
         series, repeats = memo[_task_key(spec)][:spec.replications], 1
     if spec.standardize:
         series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
-    return (np.stack([ds.inputs[:n] for ds in series] * repeats),
-            np.stack([ds.targets[:n] for ds in series] * repeats))
+    return [ds.inputs[:n] for ds in series] * repeats, [ds.targets[:n] for ds in series] * repeats
 
 
 def _task_key(spec: ExperimentSpec) -> tuple:
@@ -673,8 +677,9 @@ def read_records(path) -> list[ResultRecord]:
     record, each column parsed back to its type as spec values are.
 
     Floats come back as written (12 significant digits); each row's spec
-    takes ``path`` as its output path and must hash to the row's
-    ``spec_hash``. A results file holds no durations and no test traces,
+    takes ``path`` as its output path, must validate and hash to the row's
+    ``spec_hash``, and each ``*_reps`` cell must hold one entry per
+    replication. A results file holds no durations and no test traces,
     so ``duration_s`` is NaN and the trace fields are None.
     """
     schema, names, records = None, None, []
@@ -701,15 +706,20 @@ def read_records(path) -> list[ResultRecord]:
                 raise SpecError(f"{path}:{lineno}: {len(cells)} cells under "
                                 f"{len(names)} columns")
             row = dict(zip(names, cells))
-            try:
+            try:  # a SpecError is a ValueError
                 values = {k: _parse_value(kind, row[k])
                           for k, kind in _RECORD_COLUMNS.items()}
+                spec = ExperimentSpec(out=str(path),
+                                      **{k: values.pop(k) for k in SPEC_TYPES if k in values})
+                if values.pop("spec_hash") != spec.spec_hash():
+                    raise SpecError("the row's fields do not hash to its spec_hash")
+                spec.validate()
+                for k in ("pearson_reps", "nrmse_reps", "lambda_reps"):
+                    if len(values[k]) != spec.replications:
+                        raise SpecError(f"{k} holds {len(values[k])} entries for "
+                                        f"{spec.replications} replications")
             except ValueError as exc:
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
-            spec = ExperimentSpec(out=str(path),
-                                  **{k: values.pop(k) for k in SPEC_TYPES if k in values})
-            if values.pop("spec_hash") != spec.spec_hash():
-                raise SpecError(f"{path}:{lineno}: the row's fields do not hash to its spec_hash")
             records.append(ResultRecord(spec=spec, duration_s=math.nan, **values))
     if names is None:
         raise SpecError(f"{path}: no table header found")

@@ -273,11 +273,11 @@ def drive_block(
     # sits one block of G entries earlier.
     chunk = min(_NOISE_CHUNK, length)
     input_weights = (np.array([p.beta for p in params])[:, None] * masks).T
-    alpha = np.tile([p.alpha for p in params], (v, 1))
+    alpha, gain = np.empty((v, g)), np.empty((v, g))
+    alpha[...] = [p.alpha for p in params]
     # the gain multiply is exact, so skip it when every row's gain is 1
     mix_to_row = two_term and all(p.gain_c == 1.0 for p in params)
-    gain = np.tile([p.gain_c if two_term else p.gain_c * (1.0 - eps)
-                    for p in params], (v, 1))
+    gain[...] = [p.gain_c if two_term else p.gain_c * (1.0 - eps) for p in params]
     phi = np.empty((chunk, v, g))
     # a chunk's rows; the last slot holds the start state's measurements
     # and carries the previous chunk's last row into the next chunk's first step

@@ -131,7 +131,8 @@ def gen_narma_lockstep(cfgs: list[NarmaConfig],
     row bitwise equal to its own draw, or None where that raises. The
     first pass draws every row at its own seed; each later pass draws the
     next 8 seeds of every row still pending and keeps the first of them
-    that stayed bounded, the one :func:`gen_narma` keeps."""
+    that stayed bounded, the one :func:`gen_narma` keeps. The kept rows
+    of one seed and input range share one read-only copy of its inputs."""
     if len({c.length for c in cfgs}) > 1:
         raise ParameterError("lockstep NARMA needs one length")
     drawn: list[TaskDataset | None] = [None] * len(cfgs)
@@ -139,34 +140,43 @@ def gen_narma_lockstep(cfgs: list[NarmaConfig],
     todo, attempt = sorted(range(len(cfgs)), key=lambda i: cfgs[i].order), 0
     while todo and attempt < _MAX_DRAWS:
         attempts = range(attempt, min(attempt + (_REDRAW_SEEDS if attempt else 1), _MAX_DRAWS))
-        rows = [(i, cfgs[i].seed + a) for i in todo for a in attempts]
-        u = np.empty((len(rows), cfgs[0].length))
-        for row, (i, seed) in zip(u, rows):
-            row[:] = np.random.default_rng(seed).uniform(
-                cfgs[i].input_low, cfgs[i].input_high, cfgs[i].length)
-        y, ok = _narma_lockstep(u, np.array([cfgs[i].order for i, _ in rows]), compat_sum)
+        rows = [(i, (cfgs[i].seed + a, cfgs[i].input_low, cfgs[i].input_high))
+                for i in todo for a in attempts]
+        # each (seed, input range) is drawn once per pass, for the rows of
+        # that draw, orders apart, to read; one batch, freed as one block
+        draws = {draw: k for k, draw in enumerate(dict.fromkeys(d for _, d in rows))}
+        batch = np.empty((len(draws), cfgs[0].length))
+        for row, (seed, low, high) in zip(batch, draws):
+            row[:] = np.random.default_rng(seed).uniform(low, high, cfgs[0].length)
+        y, ok = _narma_lockstep([batch[draws[d]] for _, d in rows],
+                                np.array([cfgs[i].order for i, _ in rows]), compat_sum)
         # a row's draws are in seed order, so its first bounded one comes
-        # first; copies, so that no row keeps the whole batch alive
+        # first; copies, one read-only input per kept draw, so that no row
+        # keeps the pass's batch or outputs alive
+        kept: dict[tuple, np.ndarray] = {}
         for k in np.flatnonzero(ok):
-            i, seed = rows[k]
+            i, draw = rows[k]
             if drawn[i] is None:
-                drawn[i] = TaskDataset(u[k].copy(), y[k].copy(), name=f"narma{cfgs[i].order}",
-                                       redraws=seed - cfgs[i].seed)
+                if draw not in kept:
+                    kept[draw] = batch[draws[draw]].copy()
+                    kept[draw].flags.writeable = False
+                drawn[i] = TaskDataset(kept[draw], y[k].copy(), name=f"narma{cfgs[i].order}",
+                                       redraws=draw[0] - cfgs[i].seed)
         todo, attempt = [i for i in todo if drawn[i] is None], attempts.stop
     return drawn
 
 
-def _narma_lockstep(u: np.ndarray, orders: np.ndarray,
+def _narma_lockstep(u, orders: np.ndarray,
                     compat_sum: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The NARMA outputs driven by each row of ``u`` at its order, the
-    ``orders`` ascending, and which rows stayed within the divergence
-    limit, checked every 64 steps and at the end; the call stops once none
-    has. Rows advance as columns, each window summed as NumPy sums it:
-    left to right below 8 terms, padded with leading zeros to one width
-    (0.0 + x == x), and by :func:`_pairwise_columns` per longer term
-    count."""
+    """The NARMA outputs driven by each row of ``u`` (an array, or a list
+    of rows of one length) at its order, the ``orders`` ascending, and
+    which rows stayed within the divergence limit, checked every 64 steps
+    and at the end; the call stops once none has. Rows advance as
+    columns, each window summed as NumPy sums it: left to right below 8
+    terms, padded with leading zeros to one width (0.0 + x == x), and by
+    :func:`_pairwise_columns` per longer term count."""
     n_terms = orders if compat_sum else orders + 1
-    k, length, rows = int(n_terms[-1]), u.shape[1], len(orders)
+    k, length, rows = int(n_terms[-1]), len(u[0]), len(orders)
     drive = np.zeros((length, rows))  # 1.5 u[t-1] u[t-n], for every step at once
     # y[t] is ys[k + t]; entry j of a padded step's window, y[t - k_pad + j],
     # is a term of the rows whose window reaches that far back

@@ -23,6 +23,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,18 +108,47 @@ def test_golden_rows_read_back_to_their_hash(name):
     assert [rec.spec.spec_hash() for rec in read_records(GOLDEN / name)] == hashes
 
 
-@pytest.mark.parametrize("column, value", [("alpha", "0.71"), ("order", "3"),
-                                           ("lambda_grid", "1e-08,0.0001")])
-def test_edited_field_cell_is_spec_error(tmp_path, column, value):
+def _edited(tmp_path, **edits) -> tuple[Path, int]:
+    """A copy of the fourth row of ``narma_sweep.tsv`` with its cells
+    edited, each column to its text, and the row's line number."""
     names, rows = _table("narma_sweep.tsv")
     lineno, cells = rows[3]
-    assert cells[names.index(column)] != value
-    cells[names.index(column)] = value
+    for column, value in edits.items():
+        assert cells[names.index(column)] != value
+        cells[names.index(column)] = value
     lines = (GOLDEN / "narma_sweep.tsv").read_text(encoding="utf-8").splitlines()
     lines[lineno - 1] = "\t".join(cells)
     edited = tmp_path / "edited.tsv"
     edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return edited, lineno
+
+
+@pytest.mark.parametrize("column, value", [("alpha", "0.71"), ("order", "3"),
+                                           ("lambda_grid", "1e-08,0.0001")])
+def test_edited_field_cell_is_spec_error(tmp_path, column, value):
+    edited, lineno = _edited(tmp_path, **{column: value})
     with pytest.raises(SpecError, match=re.escape(f"{edited}:{lineno}: ") + ".*spec_hash"):
+        read_records(edited)
+
+
+def test_row_of_an_invalid_spec_is_spec_error(tmp_path):
+    # zero replications beside three per-replication metrics, hashed as
+    # that spec: no run writes such a row
+    spec = read_records(GOLDEN / "narma_sweep.tsv")[3].spec
+    edited, lineno = _edited(tmp_path, replications="0",
+                             spec_hash=replace(spec, replications=0).spec_hash())
+    with pytest.raises(SpecError, match=re.escape(f"{edited}:{lineno}: replications must be >= 1")):
+        read_records(edited)
+
+
+@pytest.mark.parametrize("column", ["pearson_reps", "nrmse_reps", "lambda_reps"])
+def test_metric_list_of_another_length_is_spec_error(tmp_path, column):
+    names, rows = _table("narma_sweep.tsv")
+    cell = rows[3][1][names.index(column)]
+    assert cell.count(";") == 2  # three replications
+    edited, lineno = _edited(tmp_path, **{column: cell.rpartition(";")[0]})
+    with pytest.raises(SpecError, match=re.escape(
+            f"{edited}:{lineno}: {column} holds 2 entries for 3 replications")):
         read_records(edited)
 
 

@@ -11,8 +11,10 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from pulserc import (
+    DegenerateVarianceError,
     ExperimentSpec,
     NarmaConfig,
+    ParameterError,
     ResultRecord,
     SingularSystemError,
     SpecError,
@@ -150,6 +152,16 @@ class TestSpecFile:
         spec = parse_spec_file(path)
         assert (spec.order, spec.alpha) == (3, 0.5)
 
+    @pytest.mark.parametrize("line, message", [
+        ("alpha 0.5", "expected 'key = value'"),
+        ("standardize = maybe", "expected a boolean, got 'maybe'"),
+    ])
+    def test_malformed_line_is_named(self, tmp_path, line, message):
+        path = tmp_path / "exp.spec"
+        path.write_text(f"schema = 1\n{line}\n")
+        with pytest.raises(SpecError, match=re.escape(f"{path}:2: {message}")):
+            parse_spec_file(path)
+
     def test_hash_ignores_out_and_is_stable(self):
         a = small_spec(out="a.tsv")
         b = small_spec(out="b.tsv")
@@ -192,6 +204,15 @@ class TestRunExperiment:
             run_experiment(small_spec(replications=0))
         with pytest.raises(SpecError):
             run_experiment(small_spec(num_nodes=0))
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(task="csv"), "task 'csv' needs csv_input and csv_target"),
+        (dict(task="csv", csv_input="u.csv"), "task 'csv' needs csv_input and csv_target"),
+        (dict(washout=-1), "washout must be >= 0, got -1"),
+    ])
+    def test_inconsistent_spec_is_named(self, overrides, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            small_spec(**overrides).validate()
 
     @pytest.mark.parametrize("overrides", [
         dict(ridge_lambda=float("nan")),
@@ -300,6 +321,16 @@ def same_records(a: ResultRecord, b: ResultRecord) -> bool:
             and np.array_equal(a.readout_first, b.readout_first))
 
 
+def held_bytes(arrays) -> int:
+    """Bytes of the distinct buffers that ``arrays`` keep alive."""
+    buffers = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
 # one value per task-defining field, each different from small_spec's
 _TASK_FIELD_CHANGES = dict(order=3, compat_narma_sum=True, standardize=True,
                            washout=30, train_len=210, test_len=90, seed=8,
@@ -403,6 +434,30 @@ class TestTaskMemo:
         assert np.array_equal(after.trace_targets, y[spec.washout + spec.train_len:
                                                      spec.total_len])
         assert not np.array_equal(before.trace_targets, after.trace_targets)
+
+    def test_orders_at_one_seed_share_their_inputs(self):
+        # the paper's orders at one seed: each replication's input is drawn
+        # once for every order, so the series hold five target sets and one
+        # input set, and no copy of either
+        specs = [ExperimentSpec(order=order, replications=10) for order in range(2, 7)]
+        series = harness._series(specs)
+        rows = [row for pair in series for part in pair for row in part]
+        assert held_bytes(rows) == 6 * 10 * specs[0].total_len * 8
+        assert all(np.shares_memory(inputs[r], series[0][0][r])
+                   for inputs, _ in series for r in range(10))
+        with pytest.raises(ValueError, match="read-only"):
+            series[1][0][0][0] = 0.0
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("replications", [1, 5])
+    def test_csv_point_holds_one_row_pair(self, tmp_path, standardize, replications):
+        # a CSV task does not depend on the seed: every replication reads
+        # the one (standardized) series of the file's 400 rows
+        spec = TestDriveGroups._csv_spec(tmp_path, standardize, replications=replications)
+        [(inputs, targets)] = harness._series([spec])
+        assert len(inputs) == len(targets) == replications
+        assert len({id(row) for row in inputs + targets}) == 2
+        assert held_bytes(inputs) == held_bytes(targets) == 400 * 8
 
     def test_trace_targets_do_not_alias_the_memo(self):
         spec = small_spec()
@@ -713,6 +768,47 @@ class TestDriveGroups:
             assert [type(x) for x in fits[0][3:]] == [np.ndarray, np.ndarray]
             assert len(fits) == 3 and not any(
                 isinstance(x, np.ndarray) for fit in fits[1:] for x in fit)
+
+
+class TestFitErrors:
+    """A library error of the fit is the outcome of the points it reaches,
+    and of no other."""
+
+    def test_gram_error_fails_every_point_of_the_row(self, monkeypatch):
+        # orders 2 and 3 read one input draw, so each replication is one
+        # drive row for both; a gain of 1e200 overflows its Gram
+        rows = TestDriveGroups._count_rows(monkeypatch)
+        specs = [small_spec(order=order, gain_c=1e200) for order in (2, 3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = harness._drive_group(specs, [0, 1], harness._series(specs))
+        assert rows == [2]
+        for outcome in outcomes.values():
+            assert isinstance(outcome, ParameterError)
+            assert str(outcome).startswith("replication 0: normal equations are not finite")
+
+    def test_point_error_after_the_shared_factor_is_its_own(self, tmp_path, monkeypatch):
+        # two targets of one input file: one drive row and one factor per
+        # replication; the second target is constant over the test region,
+        # so only its score fails, and the first point's record comes first
+        rng = np.random.default_rng(5)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("u", "y", "flat")}
+        spec = small_spec(task="csv", csv_input=str(paths["u"]))
+        series = rng.uniform(0, 1, (3, spec.total_len))
+        series[2, spec.washout + spec.train_len:] = 0.5
+        for path, values in zip(paths.values(), series):
+            path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        good, flat = (replace(spec, csv_target=str(paths[name])) for name in ("y", "flat"))
+        rows = TestDriveGroups._count_rows(monkeypatch)
+        systems = []
+        real = harness.normal_equations
+        monkeypatch.setattr(harness, "normal_equations",
+                            lambda r, y: systems.append(len(y)) or real(r, y))
+        records = harness._run_points([good, flat])
+        assert next(records).spec == good
+        with pytest.raises(DegenerateVarianceError, match="^replication 0: "):
+            next(records)
+        # replication 1 fits the first point alone
+        assert rows == [2] and systems == [2, 1]
 
 
 def fit_ridge_reference(states, targets, lam):
@@ -1034,6 +1130,16 @@ class TestCli:
         path = self._spec_file(tmp_path)
         assert main(["sweep", "--spec", str(path), "--axis", "flux=1,2"]) == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--spec", "{spec}", "--axis", "order"], "axis must look like FIELD=V1,V2"),
+        (["figure", "--figure", "prediction_trace", "--out", "{out}"],
+         "prediction_trace needs --spec"),
+    ])
+    def test_malformed_argument_exit_code(self, tmp_path, capsys, args, message):
+        path = self._spec_file(tmp_path)
+        assert main([a.format(spec=path, out=tmp_path / "fig.tsv") for a in args]) == 2
+        assert message in capsys.readouterr().err
+
     def test_narma_gen_roundtrip(self, tmp_path):
         out = tmp_path / "narma.csv"
         assert main(["narma-gen", "--order", "2", "--length", "500",
@@ -1198,6 +1304,29 @@ class TestRecordsFile:
         out = tmp_path / "res.tsv"
         assert write_records(out, spec, [], iter([rec])) == [rec]
         assert [r.spec.to_dict() for r in read_records(out)] == [rec.spec.to_dict()]
+
+    @pytest.mark.parametrize("edit, message", [
+        ("ragged", r":\d+: \d+ cells under \d+ columns"),
+        ("unparsable", r":\d+: expected an integer, got 'twenty'"),
+        ("header-less", "no table header found"),
+    ])
+    def test_malformed_results_file_exit_code(self, tmp_path, capsys, edit, message):
+        spec = small_spec(replications=1)
+        out = tmp_path / "res.tsv"
+        write_records(out, spec, [], [run_experiment(spec)])
+        *lines, header, row = out.read_text().splitlines()
+        cells = row.split("\t")
+        if edit == "ragged":
+            cells.append("1.0")
+        elif edit == "unparsable":
+            cells[header.split("\t").index("num_nodes")] = "twenty"
+        rows = [] if edit == "header-less" else [header, "\t".join(cells)]
+        out.write_text("\n".join(lines + rows) + "\n")
+        with pytest.raises(SpecError, match=message):
+            read_records(out)
+        assert main(["figure", "--figure", "pearson_vs_N", "--records", str(out),
+                     "--out", str(tmp_path / "fig.tsv")]) == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_read_records_rejects_other_schema(self, tmp_path):
         spec = small_spec(replications=1)

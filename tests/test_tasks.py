@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,15 @@ class TestNarmaLockstep:
         assert ok.tolist() == want
         assert want[0] is False and want[2] is True and want[3] is True
 
+    def test_orders_at_one_seed_share_one_read_only_input(self):
+        cfgs = [NarmaConfig(order, 300, 11) for order in (2, 3, 6)]
+        rows = gen_narma_lockstep(cfgs)
+        assert [ds.redraws for ds in rows] == [0, 0, 0]
+        assert rows[0].inputs is rows[1].inputs is rows[2].inputs
+        assert not np.shares_memory(rows[0].targets, rows[1].targets)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[2].inputs[0] = 0.0
+
     def test_one_row(self):
         cfg = NarmaConfig(3, 300, 11)
         [got] = gen_narma_lockstep([cfg])
@@ -341,6 +351,22 @@ class TestLoadCsv:
         (tmp_path / "both.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvParseError, match="u, y"):
             load_csv_task(tmp_path / "both.csv", "column:z")
+
+    @pytest.mark.parametrize("text, target, message", [
+        ("1\n2\n", "column:y", "no header row, cannot select column 'y'"),
+        ("y\n1\n2\n", "column:y", "needs an input column besides 'y'"),
+        ("u,y\n1,2\n3,inf\n", "column:y", ":3: non-finite value 'inf'"),
+        ("u,y\n1,2\n3\n", "column:y", ":3: expected 2 columns, got 1"),
+        ("# only a comment\nu,y\n", "column:y", "no data rows"),
+        ("# only a comment\n", "y.csv", "no data rows"),
+    ], ids=["no-header", "no-input-column", "non-finite", "ragged", "header-only", "empty"])
+    def test_malformed_file_is_named(self, tmp_path, text, target, message):
+        (tmp_path / "u.csv").write_text(text)
+        self._write(tmp_path / "y.csv", range(12))
+        if not target.startswith("column:"):
+            target = tmp_path / target
+        with pytest.raises(CsvParseError, match=re.escape(message)):
+            load_csv_task(tmp_path / "u.csv", target)
 
     def test_too_short(self, tmp_path):
         self._write(tmp_path / "u.csv", range(5))
