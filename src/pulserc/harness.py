@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, PulseRcError, SpecError
-from .readout import evaluate, normal_equations, nrmse, predict
+from .readout import ReadoutWeights, evaluate, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
 from .tasks import (NarmaConfig, _divergence_error, gen_narma_lockstep, gen_surrogate_laser,
                     load_csv_task, standardize)
@@ -38,9 +38,11 @@ _STREAM_TASK = 0
 _STREAM_NOISE = 1
 _STREAM_MASK = 2
 
-# Replications are driven in blocks whose stacked state matrices fit in
-# this many bytes: enough to amortize the per-step overhead over several
-# replications at small V, without stacking all of them at large V.
+# Replications are driven in blocks whose stacked state matrices, training
+# and test rows together, fit in this many bytes: enough to amortize the
+# per-step overhead over several replications at small V, without
+# stacking all of them at large V. A block holds its training states,
+# then its test states, so at most train_len / total_len of this at once.
 _DRIVE_BLOCK_BYTES = 8 * 2**20
 
 # What the points of a drive group share: the fields the drive kernel takes
@@ -193,7 +195,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     spec's base seeds, so replication r of a long series equals
     replication r of a short one. Replications are driven together in
     blocks of at most ``_DRIVE_BLOCK_BYTES`` of state matrices; the block
-    size changes no result.
+    size changes no result. A block holds its training states, then its
+    test states, so at most ``train_len / total_len`` of that at once.
     """
     spec.validate()
     [record] = _run_points([spec])
@@ -476,6 +479,12 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
     once for all the points whose row it is (:func:`_fit_drive`). Rows run
     replication-major, so one replication's rows that share a noise seed
     sit side by side and, within a block, share one noise draw.
+
+    A block is driven in two calls that continue one drive, passing on
+    the state pair and the noise generators: over the training region,
+    whose states are fitted and freed, then over the test region, whose
+    states are scored. So a block holds its training states, then its
+    test states, at most ``train_len / total_len`` of its cap at once.
     """
     outcomes: dict = {i: [] for i in group}
     lead = specs[group[0]]
@@ -492,23 +501,44 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
     del users
     rep_bytes = lead.total_len * (lead.num_nodes + 1) * 8
     block = max(1, min(len(drives), _DRIVE_BLOCK_BYTES // rep_bytes))
+    split = lead.washout + lead.train_len
 
     for first in range(0, len(drives), block):
         rows = drives[first:first + block]
         inputs = np.stack([series[points[0]][0][r] for r, *_, points in rows])
         masks = np.stack([generate_mask(lead.num_nodes, seed, kind).weights
                           for _, seed, kind, *_ in rows])
-        states = drive_block(inputs, masks, [params for *_, params, _ in rows], lead.washout)
+        params = [p for *_, p, _ in rows]
+        state = (np.zeros((len(rows), lead.num_nodes)), np.zeros(len(rows)))
+        # one generator per noise seed, which both calls draw from in turn
+        generators = ({seed: np.random.default_rng(seed) for seed in {p.seed for p in params}}
+                      if lead.noise_sigma > 0 else None)
+        states = drive_block(inputs[:, :split], masks, params, lead.washout, state, generators)
+        fits = []
         for (r, *_, points), rep_states in zip(rows, states):
-            targets = {i: series[i][1][r] for i in points
-                       if isinstance(outcomes[i], list)}
-            for i, fit in (_fit_drive(specs, rep_states, targets) if targets else {}).items():
+            targets = {i: series[i][1][r] for i in points if isinstance(outcomes[i], list)}
+            fits.append(_fit_drive(specs, rep_states, targets) if targets else {})
+        # free the training states before the test region is driven
+        del states, rep_states
+        states = drive_block(inputs[:, split:], masks, params, 0, state, generators)
+        for (r, *_), rep_states, row_fits in zip(rows, states, fits):
+            for i, fit in row_fits.items():
+                if not isinstance(outcomes[i], list):
+                    continue  # the point's error at an earlier replication stands
+                if isinstance(fit, ReadoutWeights):
+                    try:
+                        yhat = predict(rep_states, fit)
+                        report = evaluate(series[i][1][r][split:], yhat)
+                        # a record keeps replication 0's predictions and weights
+                        fit = (report.pearson, report.nrmse, fit.ridge_lambda,
+                               *((yhat, fit.weights) if r == 0 else (None, None)))
+                    except PulseRcError as exc:
+                        fit = exc
                 if isinstance(fit, Exception):
                     outcomes[i] = type(fit)(f"replication {r}: {fit}")
                 else:
-                    # a record keeps replication 0's predictions and weights
-                    outcomes[i].append(fit if r == 0 else (*fit[:3], None, None))
-        # free this block's state matrices before the next one is driven
+                    outcomes[i].append(fit)
+        # free this block's test states before the next one is driven
         del states, rep_states
     return outcomes
 
@@ -562,15 +592,15 @@ def _task_key(spec: ExperimentSpec) -> tuple:
 
 
 def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:
-    """Ridge readouts of one driven state matrix for each point ``i`` with
-    its target row in ``targets``, scored on the test region: (pearson,
-    nrmse, ridge strength, test predictions, readout weights), or the
-    library error that stopped the point. The points share their split and
-    lambda grid, so they share each Gram and factor (:func:`_solves`).
+    """Ridge readouts of one driven row's training state matrix for each
+    point ``i`` with its whole target row in ``targets``: its
+    :class:`ReadoutWeights`, or the library error that stopped the point.
+    The points share their split and lambda grid, so they share each Gram
+    and factor (:func:`_solves`).
     """
     lead = specs[next(iter(targets))]
-    n, train = lead.train_len, slice(lead.washout, lead.washout + lead.train_len)
-    y_train = {i: y[train] for i, y in targets.items()}
+    n = lead.train_len
+    y_train = {i: y[lead.washout:lead.washout + n] for i, y in targets.items()}
     outcomes: dict = {}
     lams = {i: (specs[i].ridge_lambda,) for i in targets}
     if lead.lambda_grid:
@@ -579,18 +609,13 @@ def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:
         m, best = _fit_rows(n), {}
 
         def score(i, w):
-            err = nrmse(y_train[i][m:], predict(states[m:n], w))
+            err = nrmse(y_train[i][m:], predict(states[m:], w))
             if i not in best or err < best[i][0]:
                 best[i] = (err, w.ridge_lambda)
         _solves(states[:m], {i: y[:m] for i, y in y_train.items()},
                 dict.fromkeys(targets, lead.lambda_grid), outcomes, score)
         lams = {i: (lam,) for i, (_, lam) in best.items()}
-
-    def fit(i, w):
-        yhat = predict(states[n:], w)
-        report = evaluate(targets[i][train.stop:], yhat)
-        outcomes[i] = (report.pearson, report.nrmse, w.ridge_lambda, yhat, w.weights)
-    _solves(states[:n], y_train, lams, outcomes, fit)
+    _solves(states, y_train, lams, outcomes, outcomes.__setitem__)
     return outcomes
 
 

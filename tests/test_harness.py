@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -24,6 +27,7 @@ from pulserc import (
     generate_mask,
     nrmse,
     parse_spec_file,
+    predict,
     read_records,
     run,
     run_experiment,
@@ -276,9 +280,45 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.2-1.3x; a block still referenced while the next one is
+        # about 1.1x; a block still referenced while the next one is
         # driven reads about 2.3x
         assert peak < 1.6 * rep_bytes
+
+    def test_test_states_never_sit_beside_training_states(self, monkeypatch):
+        spec = small_spec(num_nodes=400, replications=3, washout=50,
+                          train_len=2250, test_len=600)
+        width = spec.num_nodes + 1
+        train_bytes, gram_bytes = spec.train_len * width * 8, width * width * 8
+        # one replication per block
+        monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES", spec.total_len * width * 8)
+        run_experiment(spec)  # warms up NumPy's allocations
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.05: a block's training states and one Gram, then its
+        # test states; test states driven beside the training states read
+        # about 1.31
+        assert (peak - gram_bytes) / train_bytes < 1.15
+
+    def test_noisy_record_continues_one_whole_series_drive(self):
+        # the test region is driven in a call of its own, from the state
+        # pair and the noise streams the training call left: its bits are
+        # those of one drive over the whole series
+        spec = small_spec(noise_sigma=0.02, replications=1)
+        rec = run_experiment(spec)
+        ds = gen_narma(NarmaConfig(spec.order, spec.total_len,
+                                   harness.derive_seed(spec.seed, 0, harness._STREAM_TASK)))
+        mask = generate_mask(spec.num_nodes, harness.derive_seed(
+            spec.mask_seed, 0, harness._STREAM_MASK), spec.mask_kind)
+        params = spec.reservoir_params(harness.derive_seed(spec.seed, 0, harness._STREAM_NOISE))
+        states = run(ds.inputs, mask, params, washout=spec.washout)
+        w = fit_ridge(states[:spec.train_len],
+                      ds.targets[spec.washout:spec.washout + spec.train_len], spec.ridge_lambda)
+        assert np.array_equal(rec.readout_first, w.weights)
+        assert np.array_equal(rec.trace_predictions, predict(states[spec.train_len:], w))
 
     def test_csv_task_read_once(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
@@ -555,13 +595,22 @@ _POINT_FIELDS = [k for k in harness.SPEC_TYPES if k not in ("schema", "out")]
 
 class TestDriveGroups:
     @staticmethod
-    def _count_rows(monkeypatch) -> list[int]:
-        rows = []
+    def _count_rows(monkeypatch) -> list[tuple[int, int]]:
+        """The (rows, steps) of every drive call, in call order."""
+        calls = []
         real = harness.drive_block
         monkeypatch.setattr(
             harness, "drive_block",
-            lambda inputs, *a: rows.append(inputs.shape[0]) or real(inputs, *a))
-        return rows
+            lambda inputs, *a: calls.append(inputs.shape) or real(inputs, *a))
+        return calls
+
+    @staticmethod
+    def _blocks(calls) -> list[int]:
+        """The rows of each block, each driven twice with the same rows:
+        over its training region, then over its test region."""
+        assert len(calls) % 2 == 0
+        assert [g for g, _ in calls[::2]] == [g for g, _ in calls[1::2]]
+        return [g for g, _ in calls[::2]]
 
     @pytest.mark.parametrize("axes", [
         [("order", [2, 3, 4]), ("num_nodes", [7, 12])],
@@ -581,11 +630,11 @@ class TestDriveGroups:
         run_sweep(small_spec(replications=replications),
                   [("order", [2, 3, 4]), ("num_nodes", [7, 12])])
         # one drive per node count and replication, not one per point
-        assert sum(rows) == 2 * replications
+        assert sum(self._blocks(rows)) == 2 * replications
         rows.clear()
         run_sweep(small_spec(replications=replications),
                   [("ridge_lambda", [1e-8, 1e-4])])
-        assert sum(rows) == replications
+        assert sum(self._blocks(rows)) == replications
 
     @pytest.mark.parametrize("grid", [(), (1e-6, 1e-2)])
     def test_order_points_share_grams_and_factors(self, monkeypatch, grid):
@@ -606,7 +655,7 @@ class TestDriveGroups:
         lockstep = TestTaskMemo._count(monkeypatch, "gen_narma_lockstep")
         records = run_sweep(small_spec(replications=replications, lambda_grid=grid),
                             [("order", [2, 3, 4])])
-        assert sum(rows) == replications
+        assert sum(self._blocks(rows)) == replications
         # the 9 series are drawn in one lockstep call
         assert len(lockstep) == 1
         # one Gram per driven row (and one of the grid's fit rows), one
@@ -636,7 +685,7 @@ class TestDriveGroups:
         assert redraws(2) == [0, 0, 0] and redraws(10) == [0, 0, 1]
         rows = self._count_rows(monkeypatch)
         records = run_sweep(base, [("order", [2, 10])])
-        assert sum(rows) == 4
+        assert sum(self._blocks(rows)) == 4
         monkeypatch.undo()
         for rec, spec in zip(records, _sweep_points(base, [("order", [2, 10])])):
             assert same_records(rec, run_experiment(spec))
@@ -688,7 +737,7 @@ class TestDriveGroups:
         records = run_sweep(base, axes)
         # one block per replication, its three alphas drawing one stream;
         # one group per alpha would drive blocks of 3 and 1 and draw 12
-        assert rows == [3, 3, 3, 3] and sum(streams) == 4
+        assert self._blocks(rows) == [3, 3, 3, 3] and sum(streams) == 4
         monkeypatch.undo()
         for rec, spec in zip(records, _sweep_points(base, axes)):
             assert same_records(rec, run_experiment(spec))
@@ -722,13 +771,15 @@ class TestDriveGroups:
                                       ("mask_kind", ["uniform", "binary"])])
         rows = self._count_rows(monkeypatch)
         records = list(harness._run_points(points))
-        # every point's two replications in one block, not one block per point
-        assert rows == [16]
+        # every point's two replications in one block, not one block per
+        # point: its training region, then its test region
+        split = base.washout + base.train_len
+        assert rows == [(16, split), (16, base.test_len)]
         rows.clear()
         monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES",
                             5 * base.total_len * (base.num_nodes + 1) * 8)
         capped = list(harness._run_points(points))
-        assert rows == [5, 5, 5, 1]
+        assert rows == [(g, steps) for g in (5, 5, 5, 1) for steps in (split, base.test_len)]
         monkeypatch.undo()
         for rec, again, spec in zip(records, capped, points):
             assert same_records(rec, run_experiment(spec)) and same_records(again, rec)
@@ -738,7 +789,7 @@ class TestDriveGroups:
         # records are test_group_key_is_complete[replications]'s
         rows = self._count_rows(monkeypatch)
         run_sweep(small_spec(), [("replications", [2, 3])])
-        assert sum(rows) == 3
+        assert sum(self._blocks(rows)) == 3
 
     def test_seed_sweep_is_one_block(self, monkeypatch):
         # ten one-replication points at V = 35 and the default lengths
@@ -747,7 +798,7 @@ class TestDriveGroups:
         axes = [("seed", list(range(10)))]
         rows = self._count_rows(monkeypatch)
         records = run_sweep(base, axes)
-        assert rows == [10]
+        assert self._blocks(rows) == [10]
         monkeypatch.undo()
         for rec, spec in zip(records, _sweep_points(base, axes)):
             assert same_records(rec, run_experiment(spec))
@@ -779,9 +830,8 @@ class TestFitErrors:
         # drive row for both; a gain of 1e200 overflows its Gram
         rows = TestDriveGroups._count_rows(monkeypatch)
         specs = [small_spec(order=order, gain_c=1e200) for order in (2, 3)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = harness._drive_group(specs, [0, 1], harness._series(specs))
-        assert rows == [2]
+        outcomes = harness._drive_group(specs, [0, 1], harness._series(specs))
+        assert TestDriveGroups._blocks(rows) == [2]
         for outcome in outcomes.values():
             assert isinstance(outcome, ParameterError)
             assert str(outcome).startswith("replication 0: normal equations are not finite")
@@ -789,7 +839,10 @@ class TestFitErrors:
     def test_point_error_after_the_shared_factor_is_its_own(self, tmp_path, monkeypatch):
         # two targets of one input file: one drive row and one factor per
         # replication; the second target is constant over the test region,
-        # so only its score fails, and the first point's record comes first
+        # so only its score fails, and the first point's record comes first.
+        # Both replications are fitted before the test region is driven, so
+        # replication 1 fits both points, and the second keeps the error of
+        # replication 0, its first
         rng = np.random.default_rng(5)
         paths = {name: tmp_path / f"{name}.csv" for name in ("u", "y", "flat")}
         spec = small_spec(task="csv", csv_input=str(paths["u"]))
@@ -807,8 +860,7 @@ class TestFitErrors:
         assert next(records).spec == good
         with pytest.raises(DegenerateVarianceError, match="^replication 0: "):
             next(records)
-        # replication 1 fits the first point alone
-        assert rows == [2] and systems == [2, 1]
+        assert TestDriveGroups._blocks(rows) == [2] and systems == [2, 2]
 
 
 def fit_ridge_reference(states, targets, lam):
@@ -844,8 +896,9 @@ class TestLambdaGrid:
         r = states[: spec.train_len]
         train = slice(spec.washout, spec.washout + spec.train_len)
         n_fit = int(0.8 * spec.train_len)
-        # two points share one driven row, its Grams and its factors
-        fits = harness._fit_drive([spec, replace(spec, order=3)], states, targets)
+        # two points share one driven row's training states, its Grams and
+        # its factors
+        fits = harness._fit_drive([spec, replace(spec, order=3)], r, targets)
         for i, y in targets.items():
             y = y[train]
             system = normal_equations(r[:n_fit], y[:n_fit])
@@ -857,17 +910,15 @@ class TestLambdaGrid:
                 assert np.array_equal(w.weights, want)
                 want_errs.append(nrmse(y[n_fit:], r[n_fit:] @ want))
             chosen = self.GRID[int(np.argmin(want_errs))]
-            _, _, lam, yhat, weights = fits[i]
-            assert lam == chosen
-            assert np.array_equal(weights, fit_ridge_reference(r, y, chosen))
-            assert np.array_equal(weights, fit_ridge(r, y, chosen).weights)
-            assert np.array_equal(yhat, states[spec.train_len:] @ weights)
+            assert fits[i].ridge_lambda == chosen
+            assert np.array_equal(fits[i].weights, fit_ridge_reference(r, y, chosen))
+            assert np.array_equal(fits[i].weights, fit_ridge(r, y, chosen).weights)
 
     def test_zero_lambda_on_short_fit_slice_is_singular(self):
         # 100 training rows leave 80 to fit 101 weights
         spec, states, targets = self.driven(100, train_len=100,
                                             lambda_grid=(1e-6, 0.0))
-        fits = harness._fit_drive([spec, spec], states, targets)
+        fits = harness._fit_drive([spec, spec], states[:spec.train_len], targets)
         assert all(isinstance(f, SingularSystemError) for f in fits.values())
         with pytest.raises(SingularSystemError, match="replication 0"):
             run_experiment(small_spec(num_nodes=100, train_len=100,
@@ -1000,6 +1051,18 @@ class TestCli:
                                csv_input=str(tmp_path / "missing_u.csv"),
                                csv_target=str(tmp_path / "missing_y.csv"))
         assert main(["run", "--spec", str(path)]) == 3
+
+    def test_overflowing_gram_exits_3_with_warnings_as_errors(self, tmp_path):
+        # a gain of 1e200 overflows the Gram: a ParameterError, exit 3, not
+        # an overflow warning raised as an error
+        path = self._spec_file(tmp_path, gain_c=1e200)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pulserc.cli", "run", "--spec", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        assert "normal equations are not finite" in done.stderr
+        assert "Warning" not in done.stderr
 
     @staticmethod
     def _forbid_compute(monkeypatch):
