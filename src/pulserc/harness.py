@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, PulseRcError, SpecError
+from .errors import PulseRcError, SpecError
 from .readout import ReadoutWeights, evaluate, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
-from .tasks import (NarmaConfig, _divergence_error, gen_narma_lockstep, gen_surrogate_laser,
-                    load_csv_task, standardize)
+from .tasks import (NarmaConfig, _divergence_error, _text_lines, gen_narma_lockstep,
+                    gen_surrogate_laser, load_csv_task, standardize)
 
 SCHEMA_VERSION = 1
 
@@ -99,6 +99,8 @@ class ExperimentSpec:
         for name in ("csv_input", "csv_target"):  # each is a cell of a results row
             if re.search(r"[\t\n\r]", getattr(self, name)):
                 raise SpecError(f"{name} holds a tab or line break: {getattr(self, name)!r}")
+            if "\0" in getattr(self, name):  # no file path holds one
+                raise SpecError(f"{name} holds a NUL byte: {getattr(self, name)!r}")
         if self.mask_kind not in MASK_KINDS:
             raise SpecError(
                 f"mask_kind must be one of {MASK_KINDS}, got {self.mask_kind!r}")
@@ -293,28 +295,23 @@ def parse_spec_file(path) -> ExperimentSpec:
     mandatory so old files cannot be misread silently.
     """
     values: dict = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise SpecError(f"cannot open spec {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.sub("", raw, count=1).strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpecError(f"{path}:{lineno}: expected 'key = value'")
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in SPEC_TYPES:
-                raise SpecError(
-                    f"{path}:{lineno}: unknown key {key!r}; known keys: "
-                    f"{', '.join(sorted(SPEC_TYPES))}")
-            if key in values:
-                raise SpecError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                values[key] = _parse_value(SPEC_TYPES[key], text)
-            except ValueError as exc:
-                raise SpecError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(_text_lines(path, SpecError), start=1):
+        line = _COMMENT.sub("", raw, count=1).strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SpecError(f"{path}:{lineno}: expected 'key = value'")
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in SPEC_TYPES:
+            raise SpecError(
+                f"{path}:{lineno}: unknown key {key!r}; known keys: "
+                f"{', '.join(sorted(SPEC_TYPES))}")
+        if key in values:
+            raise SpecError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = _parse_value(SPEC_TYPES[key], text)
+        except ValueError as exc:
+            raise SpecError(f"{path}:{lineno}: {exc}") from exc
     if "schema" not in values:
         raise SpecError(f"{path}: missing mandatory 'schema' field")
     spec = ExperimentSpec(**values)
@@ -375,18 +372,13 @@ def _run_points(specs: list[ExperimentSpec]):
     then return a generator of their records (:func:`_run_groups`).
 
     Points with equal ``_BLOCK_FIELDS`` form a drive group
-    (:func:`_drive_group`). A NARMA order that diverges for every redraw,
-    at any replication of any point, is a SpecError before any compute;
-    any other error of the series stage keeps its type.
+    (:func:`_drive_group`).
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(tuple(getattr(spec, k) for k in _BLOCK_FIELDS), []).append(i)
     t0 = time.perf_counter()
-    try:
-        series = _series(specs)
-    except DivergenceError as exc:
-        raise SpecError(str(exc)) from exc
+    series = _series(specs)
     share = (time.perf_counter() - t0) / len(specs)
     return _run_groups(specs, list(groups.values()), series, share)
 
@@ -418,34 +410,29 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: l
 
 
 def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
-    """Every point's (inputs, targets) from :func:`_replication_series`.
+    """Every point's inputs and targets, cut to its total length, as two
+    lists of ``replications`` rows: views of its series, each standardized
+    on its own if the spec asks, not copies.
 
-    Each CSV task is read once, the call's snapshot of its file, and
-    checked against every point's length. Each generated task is drawn
+    Each CSV file pair is read once, the call's snapshot of it, whose one
+    pair of rows serves every replication. Each generated task is drawn
     once, at the most replications any point needs; all NARMA rows in one
-    :func:`gen_narma_lockstep` call per (length, sum convention), where
-    the orders at one seed share each input draw. Points whose series read
-    the same task, length and standardize split share one pair of row
-    lists, built at the most replications any of them needs.
+    :func:`gen_narma_lockstep` call per (length, sum convention), where the
+    orders at one seed share each input draw; an order that diverges for
+    every redraw is a SpecError. Points that read the same task, length
+    and standardize split share one pair of row lists.
     """
-    memo: dict = {}
-    for spec in specs:
-        key = _task_key(spec)
-        if spec.task == "csv":
-            if key not in memo:
-                memo[key] = load_csv_task(spec.csv_input, spec.csv_target)
-            if memo[key].length < spec.total_len:
-                raise SpecError(f"task {memo[key].name!r} provides {memo[key].length} "
-                                f"samples but washout+train+test needs {spec.total_len}")
+    load = functools.cache(load_csv_task)  # each file pair read once per call
     # sorted by replication count, so that the last spec of a key needs the most
     by_reps = sorted(specs, key=lambda spec: spec.replications)
     generated = {_task_key(s): s for s in by_reps if s.task != "csv"}
+    drawn: dict[tuple, list] = {}
     passes: dict[tuple, list] = {}
     seed_of = functools.cache(derive_seed)  # each seed once, whatever the order
     for key, spec in generated.items():
         seeds = [seed_of(spec.seed, r, _STREAM_TASK) for r in range(spec.replications)]
         if spec.task == "surrogate":
-            memo[key] = [gen_surrogate_laser(max(100, spec.total_len), seed) for seed in seeds]
+            drawn[key] = [gen_surrogate_laser(max(100, spec.total_len), seed) for seed in seeds]
         else:
             passes.setdefault((spec.total_len, spec.compat_narma_sum), []).extend(
                 (key, r, NarmaConfig(spec.order, spec.total_len, seed))
@@ -453,15 +440,30 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
     for (_, compat), rows in passes.items():
         for (key, r, cfg), ds in zip(rows, gen_narma_lockstep([cfg for *_, cfg in rows], compat)):
             if ds is None:
-                raise DivergenceError(f"replication {r}: {_divergence_error(cfg)}")
-            memo.setdefault(key, []).append(ds)
+                raise SpecError(f"replication {r}: {_divergence_error(cfg)}")
+            drawn.setdefault(key, []).append(ds)
+
+    def pair(spec: ExperimentSpec) -> tuple[list, list]:
+        n = spec.total_len
+        if spec.task == "csv":
+            ds = load(spec.csv_input, spec.csv_target)
+            if ds.length < n:
+                raise SpecError(f"task {ds.name!r} provides {ds.length} "
+                                f"samples but washout+train+test needs {n}")
+            series, repeats = [ds], spec.replications
+        else:
+            series, repeats = drawn[_task_key(spec)][:spec.replications], 1
+        if spec.standardize:
+            series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
+        return [ds.inputs[:n] for ds in series] * repeats, [ds.targets[:n] for ds in series] * repeats
 
     def pair_key(s: ExperimentSpec) -> tuple:
         # the length and the standardize split too, which a CSV task's key
         # leaves out so that its file is read once
         return (_task_key(s), s.total_len, s.standardize and s.washout + s.train_len)
     widest = {pair_key(s): s for s in by_reps}
-    pairs = {key: _replication_series(spec, memo) for key, spec in widest.items()}
+    # built in the points' order, so that the first failing point's error stands
+    pairs = {key: pair(widest[key]) for key in dict.fromkeys(map(pair_key, specs))}
     return [pairs[pair_key(s)] for s in specs]
 
 
@@ -556,31 +558,11 @@ def _record(spec: ExperimentSpec, fits: list, targets, duration: float) -> Resul
         nrmse_mean=float(np.mean(nrmses)),
         nrmse_std=_spread(nrmses),
         duration_s=duration,
-        # a copy: a view would keep the memo's target series alive
+        # a copy: a view would keep the call's target series alive
         trace_targets=targets[0][spec.washout + spec.train_len:].copy(),
         trace_predictions=predictions[0],
         readout_first=weights[0],
     )
-
-
-def _replication_series(spec: ExperimentSpec, memo: dict) -> tuple[list, list]:
-    """Every replication's (standardized) inputs and targets, cut to the
-    spec's total length, as two lists of ``replications`` rows: views of
-    the series, not copies.
-
-    ``memo`` holds each task's series: a CSV task's one read of its file,
-    whose one pair of rows serves every replication, as it does not depend
-    on the seed; a generated task's series, drawn at least ``total_len``
-    long. Each series is standardized on its own.
-    """
-    n = spec.total_len
-    if spec.task == "csv":
-        series, repeats = (memo[_task_key(spec)],), spec.replications
-    else:
-        series, repeats = memo[_task_key(spec)][:spec.replications], 1
-    if spec.standardize:
-        series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
-    return [ds.inputs[:n] for ds in series] * repeats, [ds.targets[:n] for ds in series] * repeats
 
 
 def _task_key(spec: ExperimentSpec) -> tuple:
@@ -705,47 +687,47 @@ def read_records(path) -> list[ResultRecord]:
     takes ``path`` as its output path, must validate and hash to the row's
     ``spec_hash``, and each ``*_reps`` cell must hold one entry per
     replication. A results file holds no durations and no test traces,
-    so ``duration_s`` is NaN and the trace fields are None.
+    so ``duration_s`` is NaN and the trace fields are None. A file that
+    cannot be opened or is not UTF-8 text is a SpecError, as a spec file is.
     """
     schema, names, records = None, None, []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.startswith("# schema = "):
-                schema = line.partition("=")[2].strip()
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if names is None:
-                names = cells
-                missing = [k for k in _RECORD_COLUMNS if k not in names]
-                if missing:
-                    raise SpecError(
-                        f"{path}: missing column(s) {missing}; available: "
-                        f"{', '.join(names)}")
-                if schema != str(SCHEMA_VERSION):
-                    raise SpecError(f"{path}: results schema {schema!r}; this "
-                                    f"build reads schema {SCHEMA_VERSION}")
-                continue
-            if len(cells) != len(names):
-                raise SpecError(f"{path}:{lineno}: {len(cells)} cells under "
-                                f"{len(names)} columns")
-            row = dict(zip(names, cells))
-            try:  # a SpecError is a ValueError
-                values = {k: _parse_value(kind, row[k])
-                          for k, kind in _RECORD_COLUMNS.items()}
-                spec = ExperimentSpec(out=str(path),
-                                      **{k: values.pop(k) for k in SPEC_TYPES if k in values})
-                if values.pop("spec_hash") != spec.spec_hash():
-                    raise SpecError("the row's fields do not hash to its spec_hash")
-                spec.validate()
-                for k in ("pearson_reps", "nrmse_reps", "lambda_reps"):
-                    if len(values[k]) != spec.replications:
-                        raise SpecError(f"{k} holds {len(values[k])} entries for "
-                                        f"{spec.replications} replications")
-            except ValueError as exc:
-                raise SpecError(f"{path}:{lineno}: {exc}") from exc
-            records.append(ResultRecord(spec=spec, duration_s=math.nan, **values))
+    for lineno, raw in enumerate(_text_lines(path, SpecError), start=1):
+        line = raw.rstrip("\n")
+        if line.startswith("# schema = "):
+            schema = line.partition("=")[2].strip()
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if names is None:
+            names = cells
+            missing = [k for k in _RECORD_COLUMNS if k not in names]
+            if missing:
+                raise SpecError(
+                    f"{path}: missing column(s) {missing}; available: "
+                    f"{', '.join(names)}")
+            if schema != str(SCHEMA_VERSION):
+                raise SpecError(f"{path}: results schema {schema!r}; this "
+                                f"build reads schema {SCHEMA_VERSION}")
+            continue
+        if len(cells) != len(names):
+            raise SpecError(f"{path}:{lineno}: {len(cells)} cells under "
+                            f"{len(names)} columns")
+        row = dict(zip(names, cells))
+        try:  # a SpecError is a ValueError
+            values = {k: _parse_value(kind, row[k])
+                      for k, kind in _RECORD_COLUMNS.items()}
+            spec = ExperimentSpec(out=str(path),
+                                  **{k: values.pop(k) for k in SPEC_TYPES if k in values})
+            if values.pop("spec_hash") != spec.spec_hash():
+                raise SpecError("the row's fields do not hash to its spec_hash")
+            spec.validate()
+            for k in ("pearson_reps", "nrmse_reps", "lambda_reps"):
+                if len(values[k]) != spec.replications:
+                    raise SpecError(f"{k} holds {len(values[k])} entries for "
+                                    f"{spec.replications} replications")
+        except ValueError as exc:
+            raise SpecError(f"{path}:{lineno}: {exc}") from exc
+        records.append(ResultRecord(spec=spec, duration_s=math.nan, **values))
     if names is None:
         raise SpecError(f"{path}: no table header found")
     return records

@@ -80,18 +80,13 @@ class NormalEquations:
                 "set ridge_lambda > 0")
         # the operands of ``gram + lambda * eye`` (+ 0.0 off the diagonal)
         # where potrf reads them, in the lower triangle: ``r.T @ r`` is
-        # exactly symmetric, so they mirror the upper one. Strips left of
-        # the 64-row diagonal blocks, so no transposed triangle is copied;
-        # then the full blocks' strict lower triangles in one masked copy
-        # through a (blocks, 64, 64) view of the C-ordered Gram, and the tail
-        for j in range(_STRIP, n_cols, _STRIP):
-            np.add(a[:j, j:j + _STRIP].T, 0.0, out=a[j:j + _STRIP, :j])
-        full = n_cols // _STRIP
-        blocks = np.ndarray((full, _STRIP, _STRIP), a.dtype, a, 0,
-                            (_STRIP * (a.strides[0] + a.strides[1]), *a.strides))
-        np.copyto(blocks, blocks.transpose(0, 2, 1) + 0.0, where=_STRICT_LOWER)
-        tail = a[full * _STRIP:, full * _STRIP:]
-        np.add(tail.T, 0.0, out=tail, where=_STRICT_LOWER[:len(tail), :len(tail)])
+        # exactly symmetric, so they mirror the upper one. Strip by strip,
+        # so that NumPy buffers a diagonal block, not a transposed triangle
+        for j in range(0, n_cols, _STRIP):
+            k = min(_STRIP, n_cols - j)
+            np.add(a[:j, j:j + k].T, 0.0, out=a[j:j + k, :j])
+            block = a[j:j + k, j:j + k]
+            np.add(block.T, 0.0, out=block, where=_STRICT_LOWER[:k, :k])
         a.flat[:: n_cols + 1] = self._diagonal + 0.0 + ridge_lambda
         current = self._factors = self._factors + 1
         # the calls cho_factor(a, overwrite_a=True) and cho_solve make

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -348,41 +349,46 @@ def _read_table(path) -> tuple[list[str] | None, list[np.ndarray]]:
     names: list[str] | None = None
     rows: list[list[float]] = []
     width: int | None = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise CsvParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            if names is None and width is None and not _all_numeric(parts):
-                names = parts
-                width = len(parts)
-                continue
-            values = []
-            for p in parts:
-                try:
-                    v = float(p)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}:{lineno}: non-numeric value {p!r}") from None
-                if not math.isfinite(v):
-                    raise CsvParseError(
-                        f"{path}:{lineno}: non-finite value {p!r}")
-                values.append(v)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
+    for lineno, raw in enumerate(_text_lines(path, CsvParseError), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p for p in line.replace(",", " ").split() if p]
+        if names is None and width is None and not _all_numeric(parts):
+            names = parts
+            width = len(parts)
+            continue
+        values = []
+        for p in parts:
+            try:
+                v = float(p)
+            except ValueError:
                 raise CsvParseError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(values)}")
-            rows.append(values)
+                    f"{path}:{lineno}: non-numeric value {p!r}") from None
+            if not math.isfinite(v):
+                raise CsvParseError(
+                    f"{path}:{lineno}: non-finite value {p!r}")
+            values.append(v)
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise CsvParseError(
+                f"{path}:{lineno}: expected {width} columns, got {len(values)}")
+        rows.append(values)
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
     cols = [np.array([r[i] for r in rows]) for i in range(width)]
     return names, cols
+
+
+def _text_lines(path, error: type[Exception]) -> Iterator[str]:
+    """The lines of a UTF-8 text file, one at a time; a path or file that
+    cannot be opened or decoded raises ``error`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _all_numeric(parts: list[str]) -> bool:

@@ -238,6 +238,15 @@ class TestRunExperiment:
         with pytest.raises(SpecError, match=f"{name} holds a tab or line break"):
             spec.validate()
 
+    @pytest.mark.parametrize("task", ["narma", "csv"])
+    @pytest.mark.parametrize("name", ["csv_input", "csv_target"])
+    def test_nul_in_csv_path_rejected(self, task, name):
+        # no file path holds a NUL byte; open() would fail on it mid-run
+        spec = small_spec(task=task, **{"csv_input": "u.csv", "csv_target": "y.csv",
+                                        name: "a\0b.csv"})
+        with pytest.raises(SpecError, match=f"{name} holds a NUL byte"):
+            spec.validate()
+
     def test_two_held_out_rows_run(self):
         # 6 training rows: the grid fits on 4 and scores on 2
         rec = run_experiment(small_spec(train_len=6, lambda_grid=(1e-6, 1e-2),
@@ -454,6 +463,29 @@ class TestTaskMemo:
         assert len(records) == 6 and len(calls) == 1
         for rec, spec in zip(records, _sweep_points(base, axes)):
             assert same_records(rec, run_experiment(spec))
+
+    def test_csv_read_once_across_lengths_and_standardize_splits(self, tmp_path,
+                                                                 monkeypatch):
+        calls = self._count(monkeypatch, "load_csv_task")
+        base = TestDriveGroups._csv_spec(tmp_path, standardize=False)
+        # two lengths, each raw and standardized; one pair of row lists each
+        points = [replace(base, train_len=n, standardize=flag)
+                  for n in (150, 200) for flag in (False, True)]
+        records = list(harness._run_points(points))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for rec, spec in zip(records, points):
+            assert same_records(rec, run_experiment(spec))
+
+    def test_first_failing_point_names_the_error(self, tmp_path):
+        # both points are too long for the file's 400 rows; the second needs
+        # fewer replications, so it comes first by replication count, but
+        # the error is the first point's
+        base = TestDriveGroups._csv_spec(tmp_path)
+        points = [replace(base, train_len=500, replications=3),
+                  replace(base, train_len=600, replications=2)]
+        with pytest.raises(SpecError, match="provides 400 samples but washout.train.test needs 600$"):
+            harness._series(points)
 
     def test_csv_read_again_after_rewrite(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
@@ -1139,6 +1171,49 @@ class TestCli:
         assert main([command, "--spec", str(path), *args]) == 2
         assert "NARMA-30 diverged" in capsys.readouterr().err
         # checked before the results file is opened: no file, so no row
+        assert not (tmp_path / "res.tsv").exists()
+
+    def test_undecodable_spec_file_is_spec_error(self, tmp_path, monkeypatch, capsys):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        path.write_bytes(path.read_bytes() + b"# caf\xff\n")
+        assert main(["run", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "spec error" in err and str(path) in err
+        assert not (tmp_path / "res.tsv").exists()
+
+    def test_undecodable_csv_file_exits_3(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"u,y\n" + b"0.1,0.2\n" * 200 + b"0.3,0.\xff\n" + b"0.1,0.2\n" * 200)
+        path = self._spec_file(tmp_path, task="csv", csv_input=str(data),
+                               csv_target="column:y")
+        self._forbid_compute(monkeypatch)
+        assert main(["run", "--spec", str(path)]) == 3
+        assert f"cannot read {data}" in capsys.readouterr().err
+        assert not (tmp_path / "res.tsv").exists()
+
+    def test_undecodable_results_file_is_spec_error(self, tmp_path, capsys):
+        records = tmp_path / "res.tsv"
+        write_records(records, small_spec(), [], [run_experiment(small_spec(replications=1))])
+        records.write_bytes(records.read_bytes().replace(b"narma", b"narm\xff", 1))
+        out = tmp_path / "fig.tsv"
+        assert main(["figure", "--figure", "pearson_vs_N", "--records", str(records),
+                     "--out", str(out)]) == 2
+        assert f"cannot read {records}" in capsys.readouterr().err
+        assert not out.exists()
+        # as a spec file: a results file that cannot be opened is a spec error too
+        assert main(["figure", "--figure", "pearson_vs_N", "--records",
+                     str(tmp_path / "nope.tsv"), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("name", ["csv_input", "csv_target"])
+    def test_nul_in_csv_path_is_spec_error(self, tmp_path, monkeypatch, capsys, name):
+        data = TestDriveGroups._csv_spec(tmp_path).csv_input
+        # the other path names a file that exists, so only the NUL byte is wrong
+        path = self._spec_file(tmp_path, task="csv", **{"csv_input": data, "csv_target": data,
+                                                        name: data + "\0"})
+        self._forbid_compute(monkeypatch)
+        assert main(["run", "--spec", str(path)]) == 2
+        assert f"{name} holds a NUL byte" in capsys.readouterr().err
         assert not (tmp_path / "res.tsv").exists()
 
     def test_csv_too_short_for_a_later_point_is_spec_error(self, tmp_path,

@@ -368,6 +368,15 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=re.escape(message)):
             load_csv_task(tmp_path / "u.csv", target)
 
+    @pytest.mark.parametrize("name, data", [
+        ("missing.csv", None), ("u\0.csv", None), ("u.csv", b"u,y\n1,2\n3,\xff\n")],
+        ids=["missing", "nul-in-path", "not-utf8"])
+    def test_unreadable_file_is_named(self, tmp_path, name, data):
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(CsvParseError, match=re.escape(f"cannot read {tmp_path / name}")):
+            load_csv_task(tmp_path / name, "column:y")
+
     def test_too_short(self, tmp_path):
         self._write(tmp_path / "u.csv", range(5))
         self._write(tmp_path / "y.csv", range(5))
