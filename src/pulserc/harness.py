@@ -616,17 +616,12 @@ def _solves(states, targets: dict, lambdas: dict, outcomes: dict, use) -> None:
         outcomes.update(dict.fromkeys(points, exc))
         return
     for lam in dict.fromkeys(lam for i in points for lam in lambdas[i]):
-        users = [k for k, i in enumerate(points) if lam in lambdas[i] and i not in outcomes]
-        try:
-            solve = system.solver(lam)
-        except PulseRcError as exc:
-            outcomes.update({points[k]: exc for k in users})
-            continue
-        for k in users:
-            try:
-                use(points[k], solve(system.rhs[k]))
-            except PulseRcError as exc:
-                outcomes[points[k]] = exc
+        for k, i in enumerate(points):
+            if lam in lambdas[i] and i not in outcomes:
+                try:
+                    use(i, system.solve(lam, k))
+                except PulseRcError as exc:
+                    outcomes[i] = exc
 
 
 def _fit_rows(n: int) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +42,22 @@ _STRICT_LOWER = np.tri(_STRIP, k=-1, dtype=bool)
 
 
 class NormalEquations:
-    """``R.T @ R`` of one state matrix and ``R.T @ y`` of one target vector,
-    or one row of ``rhs`` per target of a stack.
+    """``R.T @ R`` of one state matrix, and ``R.T @ y`` of each target as
+    one row of ``rhs``.
 
     Formed once by :func:`normal_equations`, which hands over the Gram.
     Each ridge strength costs one Cholesky factor, which solves for every
     target, so a lambda grid or several targets of one state matrix share
-    one Gram. Each factor is formed in the Gram's own storage, so a fit
-    holds one (V+1)² array: the factor overwrites the lower triangle, and
-    the strict upper one and a copy of the diagonal keep the Gram.
+    one Gram. A strength is factored on its first solve, and its factor is
+    kept until a solve at another one. Each factor is formed in the Gram's
+    own storage, so a fit holds one (V+1)² array: the factor overwrites the
+    lower triangle, and the strict upper one and a copy of the diagonal
+    keep the Gram.
     """
 
     def __init__(self, gram: np.ndarray, rhs: np.ndarray, n_rows: int) -> None:
         self._a, self._diagonal = gram, gram.diagonal().copy()
-        self.rhs, self.n_rows, self._factors = rhs, n_rows, 0
+        self.rhs, self.n_rows, self._lambda = rhs, n_rows, None
 
     @property
     def gram(self) -> np.ndarray:
@@ -65,47 +66,39 @@ class NormalEquations:
         np.fill_diagonal(g, self._diagonal)
         return g
 
-    def solver(self, ridge_lambda: float) -> Callable[[np.ndarray], ReadoutWeights]:
-        """Cholesky factor ``(R.T R + lambda I)`` and return the solve of one
-        ``R.T @ y`` against it. Solve each target on its own: a multi-column
-        solve need not give the same bits. With ``ridge_lambda = 0`` the
-        state matrix must have full column rank. The next call overwrites
-        the factor, and this solve then raises ParameterError."""
+    def solve(self, ridge_lambda: float, target: int = 0) -> ReadoutWeights:
+        """Solve ``(R.T R + lambda I) w = R.T y`` for row ``target`` of
+        ``rhs``, on its own: a multi-column solve need not give the same
+        bits. With ``ridge_lambda = 0`` the state matrix must have full
+        column rank."""
         a, n_cols = self._a, len(self._a)
-        if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
-            raise ParameterError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
-        if ridge_lambda == 0.0 and self.n_rows < n_cols:
-            raise SingularSystemError(
-                f"{self.n_rows} rows cannot determine {n_cols} weights; "
-                "set ridge_lambda > 0")
-        # the operands of ``gram + lambda * eye`` (+ 0.0 off the diagonal)
-        # where potrf reads them, in the lower triangle: ``r.T @ r`` is
-        # exactly symmetric, so they mirror the upper one. Strip by strip,
-        # so that NumPy buffers a diagonal block, not a transposed triangle
-        for j in range(0, n_cols, _STRIP):
-            k = min(_STRIP, n_cols - j)
-            np.add(a[:j, j:j + k].T, 0.0, out=a[j:j + k, :j])
-            block = a[j:j + k, j:j + k]
-            np.add(block.T, 0.0, out=block, where=_STRICT_LOWER[:k, :k])
-        a.flat[:: n_cols + 1] = self._diagonal + 0.0 + ridge_lambda
-        current = self._factors = self._factors + 1
-        # the calls cho_factor(a, overwrite_a=True) and cho_solve make
-        factor, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
-        if info > 0:
-            raise SingularSystemError(
-                "normal equations are singular; set ridge_lambda > 0 "
-                f"(currently {ridge_lambda!r})")
-
-        def solve(rhs: np.ndarray) -> ReadoutWeights:
-            if self._factors != current:
-                raise ParameterError(
-                    f"a later solver() call overwrote the factor for ridge_lambda={ridge_lambda!r}")
-            return ReadoutWeights(dpotrs(factor, rhs, lower=0)[0], float(ridge_lambda))
-        return solve
-
-    def solve(self, ridge_lambda: float) -> ReadoutWeights:
-        """Solve ``(R.T R + lambda I) w = R.T y`` for a single target."""
-        return self.solver(ridge_lambda)(self.rhs)
+        if ridge_lambda != self._lambda:
+            if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
+                raise ParameterError(f"ridge_lambda must be >= 0, got {ridge_lambda!r}")
+            if ridge_lambda == 0.0 and self.n_rows < n_cols:
+                raise SingularSystemError(
+                    f"{self.n_rows} rows cannot determine {n_cols} weights; "
+                    "set ridge_lambda > 0")
+            self._lambda = None  # a failed factor is tried again by the next solve
+            # the operands of ``gram + lambda * eye`` (+ 0.0 off the diagonal)
+            # where potrf reads them, in the lower triangle: ``r.T @ r`` is
+            # exactly symmetric, so they mirror the upper one. Strip by strip,
+            # so that NumPy buffers a diagonal block, not a transposed triangle
+            for j in range(0, n_cols, _STRIP):
+                k = min(_STRIP, n_cols - j)
+                np.add(a[:j, j:j + k].T, 0.0, out=a[j:j + k, :j])
+                block = a[j:j + k, j:j + k]
+                np.add(block.T, 0.0, out=block, where=_STRICT_LOWER[:k, :k])
+            a.flat[:: n_cols + 1] = self._diagonal + 0.0 + ridge_lambda
+            # the calls cho_factor(a, overwrite_a=True) and cho_solve make
+            self._factor, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+            if info > 0:
+                raise SingularSystemError(
+                    "normal equations are singular; set ridge_lambda > 0 "
+                    f"(currently {ridge_lambda!r})")
+            self._lambda = ridge_lambda
+        return ReadoutWeights(dpotrs(self._factor, self.rhs[target], lower=0)[0],
+                              float(ridge_lambda))
 
 
 def normal_equations(states: np.ndarray, targets: np.ndarray) -> NormalEquations:
@@ -113,8 +106,7 @@ def normal_equations(states: np.ndarray, targets: np.ndarray) -> NormalEquations
     of one target per row, and form the normal equations of the ridge fit
     between them: one Gram, and ``R.T @ y`` for each target on its own."""
     r = np.asarray(states, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    ys = y if y.ndim == 2 else y.reshape(1, -1)
+    ys = np.atleast_2d(np.asarray(targets, dtype=float))
     if r.ndim != 2:
         raise DimensionError(f"states must be 2-d, got shape {r.shape}")
     if r.shape[0] != ys.shape[1]:
@@ -129,7 +121,7 @@ def normal_equations(states: np.ndarray, targets: np.ndarray) -> NormalEquations
     if not all(map(math.isfinite, (gram.max(), gram.min(), rhs.max(), rhs.min()))):
         raise ParameterError(
             "normal equations are not finite: states and targets must be finite")
-    return NormalEquations(gram, rhs if y.ndim == 2 else rhs[0], r.shape[0])
+    return NormalEquations(gram, rhs, r.shape[0])
 
 
 def fit_ridge(states: np.ndarray, targets: np.ndarray,
@@ -197,4 +189,6 @@ def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"sequence lengths differ: {a.size} vs {b.size}")
     if a.size < 2:
         raise DimensionError("need at least 2 samples")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("sequences must be finite")
     return a, b

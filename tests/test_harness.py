@@ -539,6 +539,8 @@ class TestTaskMemo:
         again = run_experiment(spec)
         assert np.array_equal(again.trace_targets, want)
         assert same_records(again, run_experiment(spec))
+        # its own copy: a view would keep the call's target series alive
+        assert first.trace_targets.base is None
 
 
 class TestSweep:
@@ -937,7 +939,7 @@ class TestLambdaGrid:
             want_errs = []
             for lam in self.GRID:
                 want = fit_ridge_reference(r[:n_fit], y[:n_fit], lam)
-                w = system.solver(lam)(system.rhs)
+                w = system.solve(lam)
                 assert w.ridge_lambda == lam
                 assert np.array_equal(w.weights, want)
                 want_errs.append(nrmse(y[n_fit:], r[n_fit:] @ want))
@@ -945,6 +947,27 @@ class TestLambdaGrid:
             assert fits[i].ridge_lambda == chosen
             assert np.array_equal(fits[i].weights, fit_ridge_reference(r, y, chosen))
             assert np.array_equal(fits[i].weights, fit_ridge(r, y, chosen).weights)
+
+    def test_ties_go_to_the_earlier_strength(self):
+        # 1e-300 leaves every diagonal bit of the Gram as it is, so both
+        # strengths fit and score alike
+        for grid in ((0.0, 1e-300), (1e-300, 0.0)):
+            rec = run_experiment(small_spec(num_nodes=10, train_len=300, test_len=100,
+                                            replications=3, lambda_grid=grid))
+            assert rec.lambda_reps == [grid[0]] * 3
+
+    def test_a_failed_point_is_not_solved_again(self, monkeypatch):
+        # lambda = 0 fails both points before any factor, so the grid's
+        # later strength has no point left to factor for
+        spec, states, targets = self.driven(100, train_len=100,
+                                            lambda_grid=(0.0, 1e-6))
+        factors = []
+        real = readout.dpotrf
+        monkeypatch.setattr(readout, "dpotrf", lambda *a, **k:
+                            factors.append(1) or real(*a, **k))
+        fits = harness._fit_drive([spec, spec], states[:spec.train_len], targets)
+        assert all(isinstance(f, SingularSystemError) for f in fits.values())
+        assert factors == []
 
     def test_zero_lambda_on_short_fit_slice_is_singular(self):
         # 100 training rows leave 80 to fit 101 weights

@@ -149,9 +149,8 @@ class TestNormalEquations:
         system = normal_equations(r, ys)
         assert system.rhs.shape == (3, 9)
         for lam in (0.0, 1e-6, 1.0):
-            solve = system.solver(lam)
-            for y, rhs in zip(ys, system.rhs):
-                w = solve(rhs)
+            for k, y in enumerate(ys):
+                w = system.solve(lam, k)
                 assert w.ridge_lambda == lam
                 assert np.array_equal(w.weights, fit_ridge(r, y, lam).weights)
 
@@ -166,7 +165,7 @@ class TestNormalEquations:
         system = normal_equations(r, rng.standard_normal(r.shape[0]))
         assert np.array_equal(system.gram, system.gram.T)
         for lam in (0.0, 1e-6, 1.0):
-            want = cho_solve(cho_factor(system.gram + lam * np.eye(41)), system.rhs)
+            want = cho_solve(cho_factor(system.gram + lam * np.eye(41)), system.rhs[0])
             assert np.array_equal(system.solve(lam).weights, want)
 
     def test_potrf_factors_in_its_buffer_and_skips_the_other_triangle(self):
@@ -218,26 +217,44 @@ class TestNormalEquations:
             system = readout.NormalEquations(gram.copy(), system.rhs, system.n_rows)
         gram = system.gram
         for lam in grid:
-            solve = system.solver(lam)
             c = cho_factor(gram + lam * np.eye(33))
+            for k, rhs in enumerate(system.rhs):
+                assert system.solve(lam, k).weights.tobytes() == cho_solve(c, rhs).tobytes()
             assert np.triu(factors[-1][0]).tobytes() == np.triu(c[0]).tobytes()
-            for rhs in system.rhs:
-                assert solve(rhs).weights.tobytes() == cho_solve(c, rhs).tobytes()
             assert system.gram.tobytes() == gram.tobytes()
 
-    def test_a_solve_whose_factor_was_overwritten_raises(self):
+    def test_a_strength_solved_again_equals_a_fresh_fit(self, monkeypatch):
         rng = np.random.default_rng(16)
-        system = normal_equations(rng.standard_normal((40, 6)), rng.standard_normal(40))
-        first = system.solver(1e-6)
-        want = first(system.rhs)
-        second = system.solver(1.0)
-        with pytest.raises(ParameterError, match="overwrote"):
-            first(system.rhs)
-        # a strength refused before any factor leaves the last one alive
-        with pytest.raises(ParameterError):
-            system.solver(-1.0)
-        assert np.array_equal(second(system.rhs).weights, system.solve(1.0).weights)
-        assert np.array_equal(system.solver(1e-6)(system.rhs).weights, want.weights)
+        r = rng.standard_normal((40, 6))
+        r[:, 5] = 0.0  # a zero pivot: singular at lambda = 0
+        ys = rng.standard_normal((2, 40))
+        want = {lam: [fit_ridge(r, y, lam).weights for y in ys] for lam in (1e-6, 1.0)}
+        factors = []
+        real = readout.dpotrf
+        monkeypatch.setattr(readout, "dpotrf", lambda a, **k: factors.append(1) or real(a, **k))
+        system = normal_equations(r, ys)
+
+        def solves(lam, count):
+            for k in (0, 1):
+                assert np.array_equal(system.solve(lam, k).weights, want[lam][k])
+            assert len(factors) == count
+        solves(1e-6, 1)
+        # a strength refused before any factor forms none, and leaves the
+        # last one alive
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                system.solve(bad)
+        solves(1e-6, 1)
+        solves(1.0, 2)
+        solves(1e-6, 3)
+        # a singular factor is tried again by each solve at its strength,
+        # and the strength solved before it is factored again
+        for count in (4, 5):
+            with pytest.raises(SingularSystemError, match="singular"):
+                system.solve(0.0, 1)
+            assert len(factors) == count
+        solves(1e-6, 6)
+        solves(1.0, 7)
 
     def test_a_fit_holds_one_gram(self):
         # the Gram of a 450 x 401 state matrix and six factors of it: each
@@ -301,6 +318,10 @@ class TestPearson:
     def test_self_correlation(self):
         y = np.array([0.3, 1.2, -0.4, 2.0])
         assert pearson(y, y) == 1.0
+        # 1.0000000000000002 before the clamp
+        a = np.array([0.08724998293084574, 0.8701448475755365, 0.6317071082430643,
+                      -0.9945229996597038, 0.7148085531751387])
+        assert pearson(a, 3 * a + 1) == 1.0
 
     def test_anti_correlation(self):
         y = np.array([0.3, 1.2, -0.4, 2.0])
@@ -336,6 +357,14 @@ class TestPearson:
         with pytest.raises(DimensionError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN correlation would leave the clamp as 1.0
+        for y, yhat in (([1.0, bad, 3.0], [1.0, 2.0, 3.0]),
+                        ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            with pytest.raises(ParameterError, match="finite"):
+                pearson(y, yhat)
+
 
 class TestNrmse:
     def test_perfect_prediction(self):
@@ -357,6 +386,14 @@ class TestNrmse:
     def test_constant_target_rejected(self):
         with pytest.raises(DegenerateVarianceError):
             nrmse([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        for y, yhat in (([1.0, bad, 3.0], [1.0, 2.0, 3.0]),
+                        ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            for metric in (nrmse, evaluate):
+                with pytest.raises(ParameterError, match="finite"):
+                    metric(y, yhat)
 
 
 class TestEvaluate:
