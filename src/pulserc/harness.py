@@ -18,6 +18,7 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
 import re
 import time
 from dataclasses import dataclass, fields, replace
@@ -88,6 +89,11 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         """Raise SpecError on anything inconsistent, before any run."""
+        for name, kind in SPEC_TYPES.items():  # first, so that no check reads a wrong type
+            (want, what), value = _FIELD_KINDS[kind], getattr(self, name)
+            if any(not isinstance(v, want) or isinstance(v, bool) != (kind is bool)
+                   for v in (value if kind is tuple else (value,))):
+                raise SpecError(f"{name} must be {what}, got {value!r}")
         if self.schema != SCHEMA_VERSION:
             raise SpecError(
                 f"unsupported schema {self.schema!r}; this build reads "
@@ -158,6 +164,10 @@ class ExperimentSpec:
 # every spec field's type, in declaration order: the vocabulary of spec
 # files, sweep axes and results-file columns
 SPEC_TYPES = {f.name: type(f.default) for f in fields(ExperimentSpec)}
+# the values each field type takes, and their name in errors; no bool is a number here
+_FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+                tuple: (numbers.Real, "real numbers"), bool: (bool, "a bool"),
+                str: (str, "a string")}
 
 # numeric fields a sweep axis may override
 SWEEPABLE_FIELDS = frozenset(

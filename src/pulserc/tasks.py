@@ -26,11 +26,11 @@ from .errors import (
 NARMA_DIVERGENCE_LIMIT = 10.0
 _MAX_DRAWS = 100  # seeds a NARMA draw tries
 _REDRAW_SEEDS = 8  # seeds each later lockstep pass tries per pending row
-# NumPy sums fewer terms than this left to right and more pairwise, in
-# blocks of at most _PAIRWISE_BLOCK terms; the NARMA recursion mirrors
-# NumPy's order, so its sequences do not depend on how the sum is computed
+# NumPy sums fewer terms than this left to right and more pairwise; the
+# NARMA recursion mirrors NumPy's order, so its sequences do not depend on
+# how the sum is computed. Any threshold up to 8 gives the same bits (7
+# terms are added left to right either way); a higher one does not
 _PAIRWISE_MIN_TERMS = 8
-_PAIRWISE_BLOCK = 128
 _NARMA_CHECK_STEPS = 64  # steps between the lockstep's divergence checks
 
 # fixed constants of the surrogate pump-noise task
@@ -174,8 +174,8 @@ def _narma_lockstep(u, orders: np.ndarray,
     which rows stayed within the divergence limit, checked every 64 steps
     and at the end; the call stops once none has. Rows advance as
     columns, each window summed as NumPy sums it: left to right below 8
-    terms, padded with leading zeros to one width (0.0 + x == x), and by
-    :func:`_pairwise_columns` per longer term count."""
+    terms, padded with leading zeros to one width (0.0 + x == x), and
+    pairwise by NumPy's own reduction per longer term count."""
     n_terms = orders if compat_sum else orders + 1
     k, length, rows = int(n_terms[-1]), len(u[0]), len(orders)
     drive = np.zeros((length, rows))  # 1.5 u[t-1] u[t-n], for every step at once
@@ -188,8 +188,10 @@ def _narma_lockstep(u, orders: np.ndarray,
     pad = (np.arange(k_pad, 0, -1)[:, None] <= n_terms[:padded]).astype(float)
     window, s_pad = np.empty_like(pad), s[:padded]
     bounds = [padded, *(np.flatnonzero(np.diff(n_terms[padded:])) + padded + 1), rows]
-    groups = [(int(n_terms[lo]), slice(lo, hi), s[lo:hi], np.empty((4, hi - lo)),
-               np.empty((2, hi - lo))) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    # NumPy sums pairwise only along a contiguous axis, not down the strided
+    # columns: each step copies a group's windows to its block, one per row
+    groups = [(int(n_terms[lo]), slice(lo, hi), s[lo:hi], np.empty((hi - lo, int(n_terms[lo]))))
+              for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     starts, ok = orders + 1, np.ones(rows, dtype=bool)
     first, last_start = int(starts.min()), int(starts.max())
     mul, add, add_reduce = np.multiply, np.add, np.add.reduce
@@ -208,8 +210,9 @@ def _narma_lockstep(u, orders: np.ndarray,
                 if padded:
                     mul(ys[k + t - k_pad:k + t, :padded], pad, window)
                     add_reduce(window, 0, None, s_pad)
-                for m, cols, *sums in groups:
-                    _pairwise_columns(ys[k + t - m:k + t, cols], *sums)
+                for m, cols, s_rows, block in groups:
+                    block[...] = ys[k + t - m:k + t, cols].T
+                    add_reduce(block, 1, None, s_rows)
                 mul(prev, c03, a)
                 mul(prev, c005, b)
                 mul(b, s, b)
@@ -224,30 +227,6 @@ def _narma_lockstep(u, orders: np.ndarray,
             if not ok.any():
                 break
     return ys[k:].T, ok
-
-
-def _pairwise_columns(w: np.ndarray, out: np.ndarray, quads: np.ndarray,
-                      pairs: np.ndarray) -> np.ndarray:
-    """NumPy's pairwise sum of the n >= 8 rows of ``w``, column by column,
-    into ``out``: eight running sums over each block of up to 128 rows,
-    combined as a tree through the scratch rows ``quads`` (4) and
-    ``pairs`` (2), the rest added left to right; longer runs split in two
-    at a multiple of 8."""
-    n = len(w)
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        _pairwise_columns(w[:half], out, quads, pairs)
-        return np.add(out, _pairwise_columns(w[half:], np.empty_like(out), quads, pairs), out)
-    m = n - n % 8
-    r = w[:8]
-    for i in range(8, m, 8):
-        r = r + w[i:i + 8]
-    np.add(r[0::2], r[1::2], quads)
-    np.add(quads[0::2], quads[1::2], pairs)
-    np.add(pairs[0], pairs[1], out)
-    for x in w[m:]:
-        np.add(out, x, out)
-    return out
 
 
 def load_csv_task(input_path, target) -> TaskDataset:

@@ -219,6 +219,33 @@ class TestRunExperiment:
             small_spec(**overrides).validate()
 
     @pytest.mark.parametrize("overrides", [
+        dict(seed=1.5),  # would run as seed 1, and be written as 1.5
+        dict(order=True),  # would be written as `true`, which reads back refused
+        dict(num_nodes=10.0),
+        dict(replications=2.0),
+        dict(alpha=True),
+        dict(lambda_grid=(1e-6, True)),
+        dict(standardize=1),
+        dict(csv_input=Path("u.csv")),  # would fail the path checks with a TypeError
+    ])
+    def test_value_of_the_wrong_type_rejected(self, overrides, tmp_path):
+        [name] = overrides
+        with pytest.raises(SpecError, match=f"^{name} must be "):
+            small_spec(**overrides).validate()
+        # refused before the results file is opened, not mid-run
+        out = tmp_path / "r.tsv"
+        with pytest.raises(SpecError, match=f"^{name} must be "):
+            run_sweep(small_spec(**overrides), [], out)
+        assert not out.exists()
+
+    def test_numpy_integer_and_int_for_float_run(self):
+        # NumPy scalars are numbers, and an int is a real number
+        spec = small_spec(num_nodes=np.int64(10), alpha=1, lambda_grid=(np.float64(1e-6), 0),
+                          replications=1)
+        spec.validate()
+        assert np.isfinite(run_experiment(spec).pearson_mean)
+
+    @pytest.mark.parametrize("overrides", [
         dict(ridge_lambda=float("nan")),
         dict(ridge_lambda=float("inf")),
         dict(lambda_grid=(1e-6, float("nan"))),

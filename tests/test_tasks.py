@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulserc import (
     CsvParseError,
@@ -23,7 +24,6 @@ from pulserc.tasks import (
     _PUMP_AR_POLE,
     _PUMP_SCALE,
     _narma_lockstep,
-    _pairwise_columns,
 )
 
 
@@ -136,15 +136,15 @@ class TestGenNarma:
             assert np.array_equal(ds.targets, want[1])
             assert cfg.seed + ds.redraws == want[2]
 
-    def test_pairwise_sum_bitwise_equal_to_numpy(self):
-        # windows of 8 to 300 terms, over many orders of magnitude, so the
-        # grouping of the additions shows in the last bits; each column is
-        # summed on its own
+    def test_row_reduce_bitwise_equal_to_row_sums(self):
+        # the lockstep sums its longer windows as rows of a C-contiguous
+        # block; rows of 1 to 300 terms, over many orders of magnitude, so
+        # the grouping of the additions shows in the last bits
         rng = np.random.default_rng(8)
-        for n in range(8, 301):
-            w = rng.uniform(0.0, 1.0, (n, 5)) * 10.0 ** rng.integers(-6, 6, (n, 5))
-            got = _pairwise_columns(w, np.empty(5), np.empty((4, 5)), np.empty((2, 5)))
-            assert got.tolist() == [col.sum() for col in w.T], n
+        for n in range(1, 301):
+            w = rng.uniform(0.0, 1.0, (5, n)) * 10.0 ** rng.integers(-6, 6, (5, n))
+            got = np.add.reduce(w, 1, None, np.empty(5))
+            assert got.tolist() == [row.sum() for row in w], n
 
     def test_zero_input_fixed_point(self):
         # force u == 0 via a degenerate-interval workaround: the interval
@@ -292,6 +292,23 @@ class TestNarmaLockstep:
         want = [not diverges_on_plain_floats(row, 2) for row in u]
         assert ok.tolist() == want
         assert want[0] is False and want[2] is True and want[3] is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(40, 300), compat=st.booleans(),
+           draws=st.lists(st.tuples(st.integers(1, 30),
+                                    st.sampled_from([0.05, 0.1, 0.3, 0.5]),
+                                    st.integers(0, 2**32)), min_size=1, max_size=8))
+    def test_each_row_equals_its_config_drawn_alone(self, length, compat, draws):
+        # however the orders group into padded and row-reduced windows
+        cfgs = [NarmaConfig(order, length, seed, input_high=high)
+                for order, high, seed in draws]
+        for cfg, got in zip(cfgs, gen_narma_lockstep(cfgs, compat)):
+            [want] = gen_narma_lockstep([cfg], compat)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.inputs, want.inputs)
+                assert np.array_equal(got.targets, want.targets)
+                assert got.redraws == want.redraws
 
     def test_orders_at_one_seed_share_one_read_only_input(self):
         cfgs = [NarmaConfig(order, 300, 11) for order in (2, 3, 6)]
