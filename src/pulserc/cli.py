@@ -16,14 +16,8 @@ import sys
 from dataclasses import replace
 
 from .errors import DivergenceError, ParameterError, PulseRcError, SpecError
-from .harness import (
-    ExperimentSpec,
-    emit_figure_data,
-    parse_spec_file,
-    read_records,
-    run_experiment,
-    run_sweep,
-)
+from .harness import (SPEC_TYPES, _parse_value, emit_figure_data, parse_spec_file,
+                      read_records, run_experiment, run_sweep)
 from .tasks import NarmaConfig, gen_narma
 
 
@@ -64,19 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_spec_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="experiment spec file")
     p.add_argument("--out", help="results file (overrides the spec's)")
-    p.add_argument("--seed", type=int, help="override base seed")
-    p.add_argument("--replications", type=int, help="override replication count")
-    p.add_argument("--compat-narma-sum", action="store_true",
+    p.add_argument("--seed", help="override base seed")
+    p.add_argument("--replications", help="override replication count")
+    p.add_argument("--compat-narma-sum", action="store_const", const=True,
                    help="use the N-term NARMA sum convention")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+        if args.command in ("run", "sweep"):
+            return _cmd_experiments(args)
         if args.command == "narma-gen":
             return _cmd_narma_gen(args)
         return _cmd_figure(args)
@@ -88,41 +80,31 @@ def main(argv=None) -> int:
         return 3
 
 
-def _load_spec(args) -> ExperimentSpec:
-    spec = parse_spec_file(args.spec)  # run_sweep validates the overrides
+def _cmd_experiments(args) -> int:
+    """``run`` and ``sweep``: a run is a sweep without axes, one record."""
+    spec = parse_spec_file(args.spec)
     overrides = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.compat_narma_sum:
-        overrides["compat_narma_sum"] = True
-    spec = replace(spec, **overrides)
+    for name, value in vars(args).items():  # read as a spec file reads the field
+        if name in SPEC_TYPES and value is not None:
+            try:
+                overrides[name] = _parse_value(SPEC_TYPES[name], str(value))
+            except ValueError as exc:
+                raise SpecError(f"--{name.replace('_', '-')}: {exc}") from exc
+    spec = replace(spec, **overrides)  # run_sweep validates it
     if not spec.out:
         raise SpecError("the results path (out / --out) is empty")
-    return spec
-
-
-def _cmd_run(args) -> int:
-    spec = _load_spec(args)
-    # a sweep without axes is the one experiment; it opens --out first, so
-    # an unwritable path fails before any compute
-    [record] = run_sweep(spec, [], out_path=spec.out)
-    print(f"{spec.task} order={spec.order} V={spec.num_nodes}: "
-          f"pearson {record.pearson_mean:.4f} +- {record.pearson_std:.4f}, "
-          f"nrmse {record.nrmse_mean:.4f} +- {record.nrmse_std:.4f} "
-          f"({record.duration_s:.2f}s, {spec.replications} reps) -> {spec.out}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    spec = _load_spec(args)
-    axes = [_parse_axis(a) for a in args.axis]
+    axes = [_parse_axis(a) for a in getattr(args, "axis", [])]
+    # run_sweep opens --out first, so an unwritable path fails before any compute
     records = run_sweep(spec, axes, out_path=spec.out)
-    total = sum(r.duration_s for r in records)
-    print(f"{len(records)} experiment(s) -> {spec.out} ({total:.2f}s)")
+    if args.command == "run":
+        [record] = records
+        print(f"{spec.task} order={spec.order} V={spec.num_nodes}: "
+              f"pearson {record.pearson_mean:.4f} +- {record.pearson_std:.4f}, "
+              f"nrmse {record.nrmse_mean:.4f} +- {record.nrmse_std:.4f} "
+              f"({record.duration_s:.2f}s, {spec.replications} reps) -> {spec.out}")
+    else:
+        total = sum(r.duration_s for r in records)
+        print(f"{len(records)} experiment(s) -> {spec.out} ({total:.2f}s)")
     return 0
 
 

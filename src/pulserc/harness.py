@@ -84,8 +84,16 @@ class ExperimentSpec:
     out: str = "results.tsv"
 
     def __post_init__(self) -> None:
-        # a list grid would be written, hashed and read back as a list
-        object.__setattr__(self, "lambda_grid", tuple(self.lambda_grid))
+        # each number is stored as the int or float it runs as, so that a NumPy
+        # scalar or a Fraction is hashed and written as what ran, and a list
+        # grid as a tuple; validate() rejects any other value
+        def ran(kind, v):
+            number = isinstance(v, _FIELD_KINDS[kind][0]) and not isinstance(v, bool)
+            return kind(v) if number else v
+        for name, kind in SPEC_TYPES.items():
+            if kind in (int, float):
+                object.__setattr__(self, name, ran(kind, getattr(self, name)))
+        object.__setattr__(self, "lambda_grid", tuple(ran(float, v) for v in self.lambda_grid))
 
     def validate(self) -> None:
         """Raise SpecError on anything inconsistent, before any run."""
@@ -331,9 +339,15 @@ def parse_spec_file(path) -> ExperimentSpec:
 
 def write_spec_file(spec: ExperimentSpec, path) -> None:
     """Inverse of :func:`parse_spec_file`: floats are written in full, so
-    every value reads back exactly."""
-    lines = [f"{f.name} = {_fmt_value(getattr(spec, f.name), exact=True)}"
-             for f in fields(spec)]
+    every value reads back exactly. A value that would read back as another
+    (outer whitespace, a comment '#', a line break) is a SpecError naming its
+    field, and nothing is written."""
+    lines = []
+    for f in fields(spec):
+        text = _fmt_value(getattr(spec, f.name), exact=True)
+        if _COMMENT.sub("", text, count=1).strip() != text or re.search(r"[\n\r]", text):
+            raise SpecError(f"{f.name} = {text!r} cannot be written to a spec file")
+        lines.append(f"{f.name} = {text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

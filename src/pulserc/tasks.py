@@ -361,10 +361,11 @@ def _read_table(path) -> tuple[list[str] | None, list[np.ndarray]]:
 
 
 def _text_lines(path, error: type[Exception]) -> Iterator[str]:
-    """The lines of a UTF-8 text file, one at a time; a path or file that
-    cannot be opened or decoded raises ``error`` naming it."""
+    """The lines of a UTF-8 text file, one at a time, a leading byte-order
+    mark dropped; a path or file that cannot be opened or decoded raises
+    ``error`` naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield from fh
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise error(f"cannot read {path}: {exc}") from exc

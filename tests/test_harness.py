@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,47 @@ class TestSpecFile:
         path.write_text(f"schema = 1\n{line}\n")
         with pytest.raises(SpecError, match=re.escape(f"{path}:2: {message}")):
             parse_spec_file(path)
+
+    def test_numbers_are_stored_as_they_run(self, tmp_path):
+        # a float32 alpha runs at 0.699999988079071, not at 0.7
+        f32 = small_spec(replications=1, alpha=np.float32(0.7))
+        assert f32.alpha == float(np.float32(0.7)) != 0.7
+        assert f32.spec_hash() != small_spec(replications=1).spec_hash()
+        frac = small_spec(replications=1, alpha=Fraction(7, 10), num_nodes=np.int64(20),
+                          lambda_grid=[Fraction(1, 10**6), np.float32(0.01)])
+        assert frac == small_spec(replications=1, lambda_grid=(1e-6, float(np.float32(0.01))))
+        for name, spec in (("f32", f32), ("frac", frac)):
+            assert all(type(getattr(spec, k)) is kind for k, kind in harness.SPEC_TYPES.items())
+            assert {type(lam) for lam in spec.lambda_grid} <= {float}
+            path = tmp_path / f"{name}.spec"
+            write_spec_file(spec, path)
+            assert parse_spec_file(path) == spec
+            out = tmp_path / f"{name}.tsv"
+            run_sweep(spec, [], out_path=out)
+            [back] = read_records(out)  # floats to 12 digits, as results files hold them
+            assert back.spec.spec_hash() == spec.spec_hash()
+            assert back.spec.alpha == float(format(spec.alpha, ".12g"))
+
+    @pytest.mark.parametrize("name, value", [
+        ("out", " res.tsv"), ("out", "res.tsv\t"), ("csv_input", "#runs.csv"),
+        ("csv_input", "runs #2.csv"), ("out", "res\n.tsv"), ("out", "res\r.tsv"),
+    ], ids=["leading-space", "trailing-tab", "hash-first", "hash-after-space",
+            "line-feed", "carriage-return"])
+    def test_value_that_reads_back_otherwise_is_not_written(self, tmp_path, name, value):
+        spec = small_spec(**{"task": "csv", "csv_input": "runs.csv",
+                             "csv_target": "column:y", name: value})
+        spec.validate()  # running it stays allowed
+        path = tmp_path / "exp.spec"
+        with pytest.raises(SpecError, match=f"^{name} = {re.escape(repr(value))} cannot"):
+            write_spec_file(spec, path)
+        assert not path.exists()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        spec = small_spec(alpha=0.5)
+        path = tmp_path / "exp.spec"
+        write_spec_file(spec, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert parse_spec_file(path) == spec
 
     def test_hash_ignores_out_and_is_stable(self):
         a = small_spec(out="a.tsv")
@@ -1368,6 +1410,35 @@ class TestCli:
         [rec] = read_records(out)
         assert rec.spec.compat_narma_sum is True
 
+    @pytest.mark.parametrize("command, args, line", [
+        ("run", ["--seed", "1e3"], "seed = 1e3"),
+        ("sweep", ["--replications", "2.0"], "replications = 2"),
+        ("sweep", ["--compat-narma-sum"], "compat_narma_sum = true"),
+    ], ids=["run-seed", "sweep-replications", "sweep-compat"])
+    def test_override_is_read_as_the_spec_file_reads_it(self, tmp_path, command, args,
+                                                        line):
+        path = self._spec_file(tmp_path)
+        by_flag, by_file = tmp_path / "flag.tsv", tmp_path / "file.tsv"
+        assert main([command, "--spec", str(path), "--out", str(by_flag), *args]) == 0
+        key = line.partition(" = ")[0]
+        edited = tmp_path / "edited.spec"
+        edited.write_text(re.sub(rf"^{key} = .*$", line, path.read_text(), flags=re.M))
+        assert line in edited.read_text() and line not in path.read_text()
+        assert main([command, "--spec", str(edited), "--out", str(by_file)]) == 0
+        assert by_flag.read_bytes() == by_file.read_bytes()
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("run", "--seed", "abc"), ("sweep", "--replications", "x")],
+        ids=["run-seed", "sweep-replications"])
+    def test_unreadable_override_is_spec_error(self, tmp_path, monkeypatch, capsys,
+                                               command, flag, text):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        assert main([command, "--spec", str(path), flag, text]) == 2
+        assert (f"pulserc: spec error: {flag}: expected an integer, got {text!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "res.tsv").exists()
+
     def test_figure_pearson_from_records(self, tmp_path):
         path = self._spec_file(tmp_path)
         sweep_out = tmp_path / "sweep.tsv"
@@ -1524,3 +1595,9 @@ class TestRecordsFile:
                                                "# schema = 2\n"))
         with pytest.raises(SpecError, match="schema"):
             read_records(out)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        out = tmp_path / "res.tsv"
+        records = run_sweep(small_spec(replications=1), [("order", [2, 3])], out)
+        out.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        assert [r.spec for r in read_records(out)] == [r.spec for r in records]

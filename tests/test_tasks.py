@@ -385,6 +385,20 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=re.escape(message)):
             load_csv_task(tmp_path / "u.csv", target)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as Excel's "CSV UTF-8" writes a file: a headerless first value
+        # behind the mark is a sample, not a column name
+        for name, values in (("u", range(20)), ("y", range(20, 40))):
+            text = "".join(f"{v / 40!r}\n" for v in values)
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+            (tmp_path / f"{name}_bom.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "u_bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain = load_csv_task(tmp_path / "u.csv", tmp_path / "y.csv")
+        bom = load_csv_task(tmp_path / "u_bom.csv", tmp_path / "y_bom.csv")
+        assert bom.length == 20
+        assert np.array_equal(bom.inputs, plain.inputs)
+        assert np.array_equal(bom.targets, plain.targets)
+
     @pytest.mark.parametrize("name, data", [
         ("missing.csv", None), ("u\0.csv", None), ("u.csv", b"u,y\n1,2\n3,\xff\n")],
         ids=["missing", "nul-in-path", "not-utf8"])
