@@ -75,8 +75,8 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"pulserc: spec error: {exc}", file=sys.stderr)
         return 2
-    except (PulseRcError, OSError) as exc:
-        print(f"pulserc: error: {exc}", file=sys.stderr)
+    except (PulseRcError, OSError, MemoryError) as exc:
+        print(f"pulserc: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import math
 import numbers
+import os
 import re
 import time
 from dataclasses import dataclass, fields, replace
@@ -91,9 +92,15 @@ class ExperimentSpec:
             number = isinstance(v, _FIELD_KINDS[kind][0]) and not isinstance(v, bool)
             return kind(v) if number else v
         for name, kind in SPEC_TYPES.items():
-            if kind in (int, float):
-                object.__setattr__(self, name, ran(kind, getattr(self, name)))
-        object.__setattr__(self, "lambda_grid", tuple(ran(float, v) for v in self.lambda_grid))
+            value = getattr(self, name)
+            try:
+                if kind in (int, float):
+                    object.__setattr__(self, name, ran(kind, value))
+                elif kind is tuple:
+                    object.__setattr__(self, name, tuple(ran(float, v) for v in value))
+            except (TypeError, OverflowError) as exc:  # no sequence; past the float range
+                raise SpecError(f"{name} must be {_FIELD_KINDS[kind][1]}, got {value!r}: "
+                                f"{exc}") from None
 
     def validate(self) -> None:
         """Raise SpecError on anything inconsistent, before any run."""
@@ -392,19 +399,42 @@ def _fmt_value(v, exact: bool = False) -> str:
 # replication pipeline
 
 def _run_points(specs: list[ExperimentSpec]):
-    """Build every series the points of ``specs`` read (:func:`_series`),
-    then return a generator of their records (:func:`_run_groups`).
+    """Refuse a point that no run on this host can hold
+    (:func:`_refuse_oversized`), build every series the points of ``specs``
+    read (:func:`_series`), then return a generator of their records
+    (:func:`_run_groups`).
 
     Points with equal ``_BLOCK_FIELDS`` form a drive group
     (:func:`_drive_group`).
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
+        _refuse_oversized(spec)
         groups.setdefault(tuple(getattr(spec, k) for k in _BLOCK_FIELDS), []).append(i)
     t0 = time.perf_counter()
     series = _series(specs)
     share = (time.perf_counter() - t0) / len(specs)
     return _run_groups(specs, list(groups.values()), series, share)
+
+
+def _refuse_oversized(spec: ExperimentSpec) -> None:
+    """Raise a SpecError naming the first size field whose part of a run
+    alone needs more memory than this host has: one Gram, one replication's
+    series or states, one input row per replication, each a lower bound on
+    what the run holds at once. Host-dependent, so not in ``validate``."""
+    try:  # the physical memory; where that is unknown, a 47-bit address space
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf on Windows
+        memory = 0
+    memory = memory if memory > 0 else 2**47
+    width = spec.num_nodes + 1
+    for name, need in (("num_nodes", width * width * 8), ("washout", spec.washout * 16),
+                       ("train_len", spec.train_len * width * 8),
+                       ("test_len", spec.test_len * width * 8),
+                       ("replications", spec.replications * spec.total_len * 8)):
+        if need > memory:
+            raise SpecError(f"{name} is too large: the run would need more than this "
+                            f"host's {memory / 2**30:.1f} GiB of memory")
 
 
 def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: list,

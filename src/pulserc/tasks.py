@@ -319,45 +319,42 @@ def standardize(ds: TaskDataset, train_len: int) -> TaskDataset:
 
 
 def _read_table(path) -> tuple[list[str] | None, list[np.ndarray]]:
-    """Parse a numeric text file into columns.
-
-    Returns (header names or None, list of column arrays). Raises
-    CsvParseError with the offending line number on anything that is not
-    numeric rows of a consistent width.
-    """
+    """(Header names or None, column arrays) of a numeric text file. The
+    first content line whose cells do not all parse as numbers is the
+    header; any other line that is not a row of finite numbers of the first
+    line's width (a line of separators only, too) is a CsvParseError naming
+    its line number."""
     names: list[str] | None = None
     rows: list[list[float]] = []
-    width: int | None = None
+    width = 0  # the first content line's cell count
     for lineno, raw in enumerate(_text_lines(path, CsvParseError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p for p in line.replace(",", " ").split() if p]
-        if names is None and width is None and not _all_numeric(parts):
-            names = parts
-            width = len(parts)
-            continue
+        parts = line.replace(",", " ").split()
+        if not parts:
+            raise CsvParseError(f"{path}:{lineno}: separators but no values")
         values = []
         for p in parts:
             try:
-                v = float(p)
+                values.append(float(p))
             except ValueError:
+                if width:  # only the first content line names columns
+                    raise CsvParseError(f"{path}:{lineno}: non-numeric value {p!r}") from None
+                names, width = parts, len(parts)
+                break
+        else:  # a data row
+            width = width or len(values)
+            if not all(map(math.isfinite, values)):
+                p = next(p for p, v in zip(parts, values) if not math.isfinite(v))
+                raise CsvParseError(f"{path}:{lineno}: non-finite value {p!r}")
+            if len(values) != width:
                 raise CsvParseError(
-                    f"{path}:{lineno}: non-numeric value {p!r}") from None
-            if not math.isfinite(v):
-                raise CsvParseError(
-                    f"{path}:{lineno}: non-finite value {p!r}")
-            values.append(v)
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise CsvParseError(
-                f"{path}:{lineno}: expected {width} columns, got {len(values)}")
-        rows.append(values)
+                    f"{path}:{lineno}: expected {width} columns, got {len(values)}")
+            rows.append(values)
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    cols = [np.array([r[i] for r in rows]) for i in range(width)]
-    return names, cols
+    return names, [np.array(col) for col in zip(*rows)]
 
 
 def _text_lines(path, error: type[Exception]) -> Iterator[str]:
@@ -369,12 +366,3 @@ def _text_lines(path, error: type[Exception]) -> Iterator[str]:
             yield from fh
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise error(f"cannot read {path}: {exc}") from exc
-
-
-def _all_numeric(parts: list[str]) -> bool:
-    for p in parts:
-        try:
-            float(p)
-        except ValueError:
-            return False
-    return True

@@ -103,6 +103,45 @@ MUTANTS = [
      "killed", "write_spec_file writes a value that reads back as another"),
     ("tasks.py", 'encoding="utf-8-sig"', 'encoding="utf-8"',
      "killed", "a leading byte-order mark kept"),
+    # reservoir.py: the drive kernel
+    ("reservoir.py", "                if mix_to_row:\n"
+                     "                    add(predecessors, mixed, row)\n",
+     "                if mix_to_row:\n"
+     "                    add(mixed, noise_j, mixed)\n"
+     "                    add(predecessors, mixed, row)\n"
+     "                    noise_j[...] = 0.0\n",
+     "killed", "noise added before the predecessor term"),
+    ("reservoir.py", "mix_to_row = two_term and all(p.gain_c == 1.0 for p in params)",
+     "mix_to_row = two_term and any(p.gain_c == 1.0 for p in params)",
+     "killed", "the gain fast path taken when one row's gain is not 1"),
+    ("reservoir.py", "rows[-1], ring[0], carry[0] = state[0].T, eps * state[1], state[1]",
+     "rows[-1] = state[0].T",
+     "killed", "the start state's carry dropped"),
+    ("reservoir.py", "[params], washout)[0]", "[params], washout - 1)[0][:-1]",
+     "killed", "the washout slice off by one: states of samples washout-1 .. L-2"),
+    ("reservoir.py", "rngs = [(generators.get(seed) or np.random.default_rng(seed), cols)",
+     "rngs = [(np.random.default_rng(seed), cols)",
+     "killed", "the generator map ignored"),
+    ("reservoir.py", "state[0][...], state[1][...] = rows[steps - 1].T, "
+                     "sines[-1] if two_term else carry[0]",
+     "state[0][...] = rows[steps - 1].T",
+     "killed", "the end state's carry not passed on"),
+    ("reservoir.py", "        ring[0] = ring[-1]\n", "",
+     "killed", "a chunk's first predecessor term not carried over from the last chunk"),
+    ("reservoir.py", "return math.exp(-pulse_period / bandwidth_time)",
+     "return math.exp(-bandwidth_time / pulse_period)",
+     "killed", "the coupling factor's time constants swapped"),
+    # tasks.py: the CSV reader, one pass per line
+    ("tasks.py", "if width:  # only the first content line names columns",
+     "if names is None:  # only the first content line names columns",
+     "killed", "a header allowed after a data row"),
+    ("tasks.py", "if len(values) != width:", "if False:",
+     "killed", "the width check dropped"),
+    ("tasks.py", "        if not parts:\n", "        if False:\n",
+     "killed", "a line of separators only read as a row of no values"),
+    # harness.py: sizes no run can hold
+    ("harness.py", "        _refuse_oversized(spec)\n", "",
+     "killed", "no size refusal"),
 ]
 
 

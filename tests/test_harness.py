@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scipy.linalg import cho_factor, cho_solve
 
@@ -269,6 +270,9 @@ class TestRunExperiment:
         dict(lambda_grid=(1e-6, True)),
         dict(standardize=1),
         dict(csv_input=Path("u.csv")),  # would fail the path checks with a TypeError
+        dict(alpha=10**400),  # past the float range
+        dict(lambda_grid=0.5),  # no sequence
+        dict(lambda_grid=None),
     ])
     def test_value_of_the_wrong_type_rejected(self, overrides, tmp_path):
         [name] = overrides
@@ -279,6 +283,33 @@ class TestRunExperiment:
         with pytest.raises(SpecError, match=f"^{name} must be "):
             run_sweep(small_spec(**overrides), [], out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(num_nodes=10**8), dict(washout=10**15), dict(train_len=10**12),
+        dict(test_len=10**12), dict(replications=10**300)])
+    def test_size_no_run_can_hold_refused_before_the_series(self, overrides, tmp_path,
+                                                            monkeypatch):
+        [name] = overrides
+        spec = small_spec(**overrides)
+        spec.validate()  # how much memory a host has is no part of a spec's validity
+
+        def fail(*args, **kwargs):
+            raise AssertionError("series stage started")
+        monkeypatch.setattr(harness, "_series", fail)
+        with pytest.raises(SpecError, match=f"^{name} is too large: the run would need more"):
+            run_experiment(spec)
+        out = tmp_path / "r.tsv"
+        for base, axes in ((spec, []), (small_spec(), [(name, [2, overrides[name]])])):
+            with pytest.raises(SpecError, match=f"^{name} is too large"):
+                run_sweep(base, axes, out)
+            assert not out.exists()
+
+    def test_size_refusal_without_sysconf(self, monkeypatch):
+        # as on Windows, which has no os.sysconf: the bound is a 47-bit address space
+        monkeypatch.delattr(os, "sysconf")
+        assert np.isfinite(run_experiment(small_spec(replications=1)).pearson_mean)
+        with pytest.raises(SpecError, match=r"^num_nodes is too large: .* 131072\.0 GiB "):
+            run_experiment(small_spec(num_nodes=10**8))
 
     def test_numpy_integer_and_int_for_float_run(self):
         # NumPy scalars are numbers, and an int is a real number
@@ -344,6 +375,54 @@ class TestRunExperiment:
             assert rec.pearson_reps == together.pearson_reps
             assert rec.nrmse_reps == together.nrmse_reps
             assert np.array_equal(rec.readout_first, together.readout_first)
+
+    @staticmethod
+    def _drawn_spec(tmp_path, task, num_nodes, replications, noise) -> ExperimentSpec:
+        spec = small_spec(task=task, num_nodes=num_nodes, replications=replications,
+                          noise_sigma=0.01 if noise else 0.0, washout=10, train_len=60,
+                          test_len=20)
+        if task != "csv":
+            return spec
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(5)
+        data.write_text("u,y\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (spec.total_len, 2)).tolist()))
+        return replace(spec, csv_input=str(data), csv_target="column:y", standardize=True)
+
+    # 100 examples of two small experiments each; tmp_path only holds
+    # one CSV file, which every example writes alike
+    drawn = settings(max_examples=100, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+    @drawn
+    @given(task=st.sampled_from(["narma", "surrogate", "csv"]), num_nodes=st.integers(1, 24),
+           replications=st.integers(1, 5), noise=st.booleans(), data=st.data())
+    def test_block_size_changes_no_result_drawn(self, tmp_path, task, num_nodes,
+                                                replications, noise, data):
+        spec = self._drawn_spec(tmp_path, task, num_nodes, replications, noise)
+        together = run_experiment(spec)  # one block holds every replication
+        rep_bytes = spec.total_len * (num_nodes + 1) * 8
+        cap = data.draw(st.integers(rep_bytes, replications * rep_bytes), label="block bytes")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_DRIVE_BLOCK_BYTES", cap)
+            blocked = run_experiment(spec)
+        assert blocked.pearson_reps == together.pearson_reps
+        assert blocked.nrmse_reps == together.nrmse_reps
+        assert np.array_equal(blocked.readout_first, together.readout_first)
+
+    @drawn
+    @given(task=st.sampled_from(["narma", "surrogate", "csv"]), num_nodes=st.integers(1, 24),
+           replications=st.integers(2, 5), noise=st.booleans(), data=st.data())
+    def test_replication_prefix_property_drawn(self, tmp_path, task, num_nodes,
+                                               replications, noise, data):
+        spec = self._drawn_spec(tmp_path, task, num_nodes, replications, noise)
+        full = run_experiment(spec)
+        fewer = data.draw(st.integers(1, replications - 1), label="fewer replications")
+        prefix = run_experiment(replace(spec, replications=fewer))
+        assert prefix.pearson_reps == full.pearson_reps[:fewer]
+        assert prefix.nrmse_reps == full.nrmse_reps[:fewer]
+        assert prefix.lambda_reps == full.lambda_reps[:fewer]
+        assert np.array_equal(prefix.readout_first, full.readout_first)
 
     def test_blocks_are_freed_before_the_next_drive(self, monkeypatch):
         spec = small_spec(num_nodes=100, replications=6, washout=50,
@@ -1283,6 +1362,47 @@ class TestCli:
         assert main(["run", "--spec", str(path)]) == 3
         assert f"cannot read {data}" in capsys.readouterr().err
         assert not (tmp_path / "res.tsv").exists()
+
+    def test_separator_only_csv_file_exits_3(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(",,\n" * 400)
+        path = self._spec_file(tmp_path, task="csv", csv_input=str(data),
+                               csv_target="column:y")
+        self._forbid_compute(monkeypatch)
+        assert main(["run", "--spec", str(path)]) == 3
+        assert f"{data}:1: separators but no values" in capsys.readouterr().err
+        assert not (tmp_path / "res.tsv").exists()
+
+    @pytest.mark.parametrize("field, line, args", [
+        ("replications", None, ["--replications", "1e300"]),  # would never end
+        ("train_len", "train_len = 1000000000000", []),
+        ("num_nodes", "num_nodes = 100000000", []),
+    ])
+    def test_size_no_run_can_hold_exits_2(self, tmp_path, field, line, args):
+        # in a process of its own, which a regression would hang or run out of memory in
+        text = (README.parent / "specs" / "narma_benchmark.spec").read_text()
+        if line:
+            text = re.sub(rf"^{field} = .*$", line, text, flags=re.M)
+        (tmp_path / "huge.spec").write_text(text)
+        out = tmp_path / "huge.tsv"
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pulserc.cli", "run", "--spec", str(tmp_path / "huge.spec"),
+             *args, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"pulserc: spec error: {field} is too large")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+        (MemoryError(), "out of memory")])
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys, error, message):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        assert main(["run", "--spec", str(self._spec_file(tmp_path))]) == 3
+        assert capsys.readouterr().err == f"pulserc: error: {message}\n"
 
     def test_undecodable_results_file_is_spec_error(self, tmp_path, capsys):
         records = tmp_path / "res.tsv"

@@ -24,6 +24,7 @@ from pulserc.tasks import (
     _PUMP_AR_POLE,
     _PUMP_SCALE,
     _narma_lockstep,
+    _read_table,
 )
 
 
@@ -384,6 +385,32 @@ class TestLoadCsv:
             target = tmp_path / target
         with pytest.raises(CsvParseError, match=re.escape(message)):
             load_csv_task(tmp_path / "u.csv", target)
+
+    def test_header_is_the_first_line_that_does_not_parse(self, tmp_path):
+        # one cell that is no number makes the line a header, whatever the others
+        rows = "".join(f"{i},{2 * i}\n" for i in range(12))
+        (tmp_path / "u.csv").write_text("# comment\n\ninf,y\n" + rows)
+        ds = load_csv_task(tmp_path / "u.csv", "column:y")
+        assert np.array_equal(ds.inputs, np.arange(12.0))
+        assert np.array_equal(ds.targets, 2.0 * np.arange(12.0))
+        # each column its own contiguous array, not a view of a row-major table
+        names, cols = _read_table(tmp_path / "u.csv")
+        assert names == ["inf", "y"]
+        assert all(col.base is None and col.flags.c_contiguous for col in cols)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\nu,y\n", ":2: non-numeric value 'u'"),  # no header after a data row
+        ("u,y\n1,2\nv,w\n", ":3: non-numeric value 'v'"),  # nor a second one
+        ("u,y\n1,2\n3,inf,w\n", ":3: non-numeric value 'w'"),
+        (",,\n1,2\n", ":1: separators but no values"),
+        ("u,y\n1,2\n , ,\n3,4\n", ":3: separators but no values"),
+    ], ids=["header-after-row", "second-header", "non-numeric-after-inf", "first-separators",
+            "later-separators"])
+    def test_line_that_is_no_row_is_named(self, tmp_path, text, message):
+        path = tmp_path / "u.csv"
+        path.write_text(text + "".join(f"{i},{i}\n" for i in range(12)))
+        with pytest.raises(CsvParseError, match=f"^{re.escape(f'{path}{message}')}$"):
+            load_csv_task(path, "column:y")
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         # as Excel's "CSV UTF-8" writes a file: a headerless first value
