@@ -16,8 +16,8 @@ import sys
 from dataclasses import replace
 
 from .errors import DivergenceError, ParameterError, PulseRcError, SpecError
-from .harness import (SPEC_TYPES, _parse_value, emit_figure_data, parse_spec_file,
-                      read_records, run_experiment, run_sweep)
+from .harness import (SPEC_TYPES, _parse_value, _run_points, emit_figure_data,
+                      parse_spec_file, read_records, run_sweep)
 from .tasks import NarmaConfig, gen_narma
 
 
@@ -142,11 +142,11 @@ def _cmd_figure(args) -> int:
     else:
         if not args.spec:
             raise SpecError("figure prediction_trace needs --spec")
-        spec = parse_spec_file(args.spec)
-        # open --out first, so an unwritable path fails before the run
+        # the run's checks and its series first, so a spec error leaves no file,
+        # then --out, so an unwritable path fails before any drive
+        records = _run_points([parse_spec_file(args.spec)])
         open(args.out, "w", encoding="utf-8").close()
-        record = run_experiment(spec)
-        emit_figure_data([record], "prediction_trace", args.out)
+        emit_figure_data(list(records), "prediction_trace", args.out)
     print(f"{args.figure} -> {args.out}")
     return 0
 

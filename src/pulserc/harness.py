@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PulseRcError, SpecError
-from .readout import ReadoutWeights, evaluate, normal_equations, nrmse, predict
+from .readout import evaluate, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
 from .tasks import (NarmaConfig, _divergence_error, _text_lines, gen_narma_lockstep,
                     gen_surrogate_laser, load_csv_task, standardize)
@@ -85,30 +85,26 @@ class ExperimentSpec:
     out: str = "results.tsv"
 
     def __post_init__(self) -> None:
+        # a value of the wrong type is a SpecError here, so no check reads one;
         # each number is stored as the int or float it runs as, so that a NumPy
         # scalar or a Fraction is hashed and written as what ran, and a list
-        # grid as a tuple; validate() rejects any other value
-        def ran(kind, v):
-            number = isinstance(v, _FIELD_KINDS[kind][0]) and not isinstance(v, bool)
-            return kind(v) if number else v
+        # grid as a tuple
         for name, kind in SPEC_TYPES.items():
-            value = getattr(self, name)
+            (want, what), value = _FIELD_KINDS[kind], getattr(self, name)
             try:
-                if kind in (int, float):
-                    object.__setattr__(self, name, ran(kind, value))
-                elif kind is tuple:
-                    object.__setattr__(self, name, tuple(ran(float, v) for v in value))
+                items = tuple(value) if kind is tuple else (value,)
+                if any(not isinstance(v, want) or isinstance(v, bool) != (kind is bool)
+                       for v in items):
+                    raise SpecError(f"{name} must be {what}, got {value!r}")
+                if kind in (int, float, tuple):
+                    ran = tuple(map(float if kind is tuple else kind, items))
+                    object.__setattr__(self, name, ran if kind is tuple else ran[0])
             except (TypeError, OverflowError) as exc:  # no sequence; past the float range
-                raise SpecError(f"{name} must be {_FIELD_KINDS[kind][1]}, got {value!r}: "
-                                f"{exc}") from None
+                raise SpecError(f"{name} must be {what}, got {value!r}: {exc}") from None
 
     def validate(self) -> None:
-        """Raise SpecError on anything inconsistent, before any run."""
-        for name, kind in SPEC_TYPES.items():  # first, so that no check reads a wrong type
-            (want, what), value = _FIELD_KINDS[kind], getattr(self, name)
-            if any(not isinstance(v, want) or isinstance(v, bool) != (kind is bool)
-                   for v in (value if kind is tuple else (value,))):
-                raise SpecError(f"{name} must be {what}, got {value!r}")
+        """Raise SpecError on anything inconsistent, before any run; a value
+        of the wrong type never gets here, as no spec holds one."""
         if self.schema != SCHEMA_VERSION:
             raise SpecError(
                 f"unsupported schema {self.schema!r}; this build reads "
@@ -578,22 +574,18 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
         del states, rep_states
         states = drive_block(inputs[:, split:], masks, params, 0, state, generators)
         for (r, *_), rep_states, row_fits in zip(rows, states, fits):
-            for i, fit in row_fits.items():
-                if not isinstance(outcomes[i], list):
-                    continue  # the point's error at an earlier replication stands
-                if isinstance(fit, ReadoutWeights):
-                    try:
-                        yhat = predict(rep_states, fit)
-                        report = evaluate(series[i][1][r][split:], yhat)
-                        # a record keeps replication 0's predictions and weights
-                        fit = (report.pearson, report.nrmse, fit.ridge_lambda,
-                               *((yhat, fit.weights) if r == 0 else (None, None)))
-                    except PulseRcError as exc:
-                        fit = exc
-                if isinstance(fit, Exception):
-                    outcomes[i] = type(fit)(f"replication {r}: {fit}")
-                else:
-                    outcomes[i].append(fit)
+            # a point's error at an earlier replication stands
+            for i in [i for i in row_fits if isinstance(outcomes[i], list)]:
+                try:
+                    if isinstance(fit := row_fits[i], PulseRcError):
+                        raise fit
+                    yhat = predict(rep_states, fit)
+                    report = evaluate(series[i][1][r][split:], yhat)
+                    # a record keeps replication 0's predictions and weights
+                    outcomes[i].append((report.pearson, report.nrmse, fit.ridge_lambda,
+                                        *((yhat, fit.weights) if r == 0 else (None, None))))
+                except PulseRcError as exc:
+                    outcomes[i] = type(exc)(f"replication {r}: {exc}")
         # free this block's test states before the next one is driven
         del states, rep_states
     return outcomes
@@ -642,15 +634,11 @@ def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:
     if lead.lambda_grid:
         # the strength whose fit on the first 80% of the training rows
         # scores the lowest NRMSE on the rest (ties go to the earlier one)
-        m, best = _fit_rows(n), {}
-
-        def score(i, w):
-            err = nrmse(y_train[i][m:], predict(states[m:], w))
-            if i not in best or err < best[i][0]:
-                best[i] = (err, w.ridge_lambda)
-        _solves(states[:m], {i: y[:m] for i, y in y_train.items()},
-                dict.fromkeys(targets, lead.lambda_grid), outcomes, score)
-        lams = {i: (lam,) for i, (_, lam) in best.items()}
+        m, grid, errors = _fit_rows(n), tuple(dict.fromkeys(lead.lambda_grid)), {}
+        _solves(states[:m], {i: y[:m] for i, y in y_train.items()}, dict.fromkeys(targets, grid),
+                outcomes, lambda i, w: errors.setdefault(i, []).append(
+                    nrmse(y_train[i][m:], predict(states[m:], w))))
+        lams = {i: (grid[e.index(min(e))],) for i, e in errors.items()}
     _solves(states, y_train, lams, outcomes, outcomes.__setitem__)
     return outcomes
 

@@ -6,7 +6,8 @@ reason). ``expected`` is ``killed`` for a mutant that some test must
 catch, and ``equivalent`` for one that changes no result the tests can
 see; it is listed so that its survival is known, not found again.
 
-Run from the repository root (it takes minutes, so CI does not run it):
+Run from the repository root (it takes minutes, so it is not tier-1; CI runs
+it in a job of its own):
 
     python tests/mutants.py [--only MODULE]
 
@@ -51,8 +52,8 @@ MUTANTS = [
     ("readout.py", "dpotrs(self._factor,", "dpotrs(a.T,",
      "equivalent", "dpotrs on a.T: the factor dpotrf returns shares its memory"),
     # harness.py: the lambda grid's shared solves
-    ("harness.py", "if i not in best or err < best[i][0]:",
-     "if i not in best or err <= best[i][0]:",
+    ("harness.py", "tuple(dict.fromkeys(lead.lambda_grid))",
+     "tuple(dict.fromkeys(lead.lambda_grid[::-1]))",
      "killed", "ties go to the later strength"),
     ("harness.py", "trace_targets=targets[0][spec.washout + spec.train_len:].copy(),",
      "trace_targets=targets[0][spec.washout + spec.train_len:],",
@@ -95,8 +96,7 @@ MUTANTS = [
      "killed", "--compat-narma-sum ignored"),
     ("cli.py", 'if args.command == "run":', "if False:",
      "killed", "run prints the sweep line"),
-    ("harness.py", "return kind(v) if number else v",
-     "return kind(v) if number and kind is int else v",
+    ("harness.py", "if kind in (int, float, tuple):", "if kind is int:",
      "killed", "float fields and lambda_grid entries kept as given"),
     ("harness.py", "if _COMMENT.sub(\"\", text, count=1).strip() != text or",
      "if False and",
@@ -142,6 +142,16 @@ MUTANTS = [
     # harness.py: sizes no run can hold
     ("harness.py", "        _refuse_oversized(spec)\n", "",
      "killed", "no size refusal"),
+    # harness.py: one pass per rule: a spec's types checked where it is built,
+    # each grid point's errors listed, one except per (point, replication)
+    ("harness.py", "for v in items):", "for v in items if kind is not tuple):",
+     "killed", "the build-time check skipping lambda_grid entries"),
+    ("harness.py", "grid[e.index(min(e))]", "grid[len(e) - 1 - e[::-1].index(min(e))]",
+     "killed", "the strength taken at the last minimum"),
+    ("harness.py", "tuple(dict.fromkeys(lead.lambda_grid)), {}", "lead.lambda_grid, {}",
+     "killed", "a repeated grid strength counted twice"),
+    ("harness.py", "                        raise fit\n", "                        continue\n",
+     "killed", "a fit error skipped instead of re-raised"),
 ]
 
 

@@ -71,6 +71,35 @@ class TestSpecFile:
         write_spec_file(spec, path)
         assert parse_spec_file(path) == spec
 
+    # text that reads back as written: no '#', no line break, no outer
+    # whitespace; no tab or NUL either, which a CSV path may not hold
+    _text = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="#\n\r\t\0")).map(str.strip)
+    _finite = st.floats(allow_nan=False, allow_infinity=False)
+    _non_negative = st.floats(min_value=0.0, allow_infinity=False)
+    _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=st.builds(
+        ExperimentSpec,
+        task=st.sampled_from(harness._TASKS), order=st.integers(1, 11),
+        compat_narma_sum=st.booleans(), csv_input=_text.filter(bool),
+        csv_target=_text.filter(bool), standardize=st.booleans(),
+        num_nodes=st.integers(1, 2**63), alpha=_finite, beta=_finite, gain_c=_finite,
+        pulse_period=_positive, bandwidth_time=_positive, noise_sigma=_non_negative,
+        mask_kind=st.sampled_from(harness.MASK_KINDS), mask_seed=st.integers(0, 2**63),
+        washout=st.integers(0, 2**63), train_len=st.integers(10, 2**63),
+        test_len=st.integers(2, 2**63), ridge_lambda=_non_negative,
+        lambda_grid=st.lists(_non_negative, max_size=4).map(tuple),
+        replications=st.integers(1, 2**63), seed=st.integers(0, 2**63), out=_text))
+    def test_roundtrip_drawn(self, tmp_path, spec):
+        spec.validate()
+        path = tmp_path / "exp.spec"
+        write_spec_file(spec, path)
+        back = parse_spec_file(path)
+        assert back == spec and back.spec_hash() == spec.spec_hash()
+
     def test_roundtrip_keeps_every_float_digit(self, tmp_path):
         spec = ExperimentSpec(alpha=0.1234567890123,
                               lambda_grid=(1e-6, 0.1234567890123))
@@ -806,6 +835,26 @@ class TestDriveGroups:
         for rec, spec in zip(records, points):
             assert same_records(rec, run_experiment(spec))
 
+    _AXIS_VALUES = dict(
+        alpha=st.floats(0.0, 1.5), beta=st.floats(0.1, 2.0), num_nodes=st.integers(1, 12),
+        order=st.integers(2, 6), seed=st.integers(0, 1000), mask_seed=st.integers(0, 1000),
+        noise_sigma=st.sampled_from([0.0, 0.01, 0.05]),
+        ridge_lambda=st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(task=st.sampled_from(["narma", "surrogate"]), replications=st.integers(1, 2),
+           names=st.lists(st.sampled_from(sorted(_AXIS_VALUES)), min_size=1, max_size=3,
+                          unique=True), data=st.data())
+    def test_sweep_equals_standalone_runs_drawn(self, task, replications, names, data):
+        # whatever points share their drive groups, drive rows, Grams and factors
+        axes = [(name, data.draw(st.lists(self._AXIS_VALUES[name], min_size=1, max_size=2),
+                                 label=name)) for name in names]
+        base = small_spec(task=task, num_nodes=8, washout=10, train_len=60, test_len=20,
+                          replications=replications)
+        records = run_sweep(base, axes)
+        for rec, spec in zip(records, _sweep_points(base, axes), strict=True):
+            assert same_records(rec, run_experiment(spec))
+
     def test_order_and_lambda_points_share_drives(self, monkeypatch):
         replications = 3
         rows = self._count_rows(monkeypatch)
@@ -1103,6 +1152,13 @@ class TestLambdaGrid:
             rec = run_experiment(small_spec(num_nodes=10, train_len=300, test_len=100,
                                             replications=3, lambda_grid=grid))
             assert rec.lambda_reps == [grid[0]] * 3
+
+    def test_repeated_strength_counts_once(self):
+        # 1e-8 wins every replication, after the repeated 0.1
+        once = run_experiment(small_spec(lambda_grid=(0.1, 1e-8)))
+        twice = run_experiment(small_spec(lambda_grid=(0.1, 0.1, 1e-8)))
+        assert twice.lambda_reps == once.lambda_reps == [1e-8, 1e-8]
+        assert twice.pearson_reps == once.pearson_reps
 
     def test_a_failed_point_is_not_solved_again(self, monkeypatch):
         # lambda = 0 fails both points before any factor, so the grid's
@@ -1607,15 +1663,36 @@ class TestCli:
 
     def test_figure_trace_opens_out_before_the_run(self, tmp_path,
                                                    monkeypatch):
-        calls = []
-        real = cli.run_experiment
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda spec: calls.append(spec) or real(spec))
+        drives = TestDriveGroups._count_rows(monkeypatch)
         path = self._spec_file(tmp_path)
         assert main(["figure", "--figure", "prediction_trace",
                      "--spec", str(path),
                      "--out", str(tmp_path / "no_dir" / "t.tsv")]) == 3
-        assert calls == []
+        assert drives == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["no-out", "out-exists"])
+    @pytest.mark.parametrize("case, message", [
+        ("size", "num_nodes is too large"),
+        ("csv-too-short", "provides 100 samples but washout+train+test needs 300"),
+        ("diverging", "NARMA-30 diverged"),
+    ], ids=["size", "csv-too-short", "diverging"])
+    def test_figure_trace_spec_error_leaves_out_alone(self, tmp_path, monkeypatch, capsys,
+                                                      case, message, existing):
+        # the run's checks and series come before --out is opened, as for run and sweep
+        data = tmp_path / "data.csv"
+        data.write_text("u,y\n" + "".join(f"{k / 7!r},{k / 5!r}\n" for k in range(100)))
+        path = self._spec_file(tmp_path, **{
+            "size": dict(num_nodes=10**8), "diverging": dict(order=30),
+            "csv-too-short": dict(task="csv", csv_input=str(data), csv_target="column:y"),
+        }[case])
+        self._forbid_compute(monkeypatch)
+        out = tmp_path / "fig.tsv"
+        if existing:
+            out.write_text("old\n")
+        assert main(["figure", "--figure", "prediction_trace", "--spec", str(path),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "old\n" if existing else not out.exists()
 
     def test_figure_requires_matching_input(self, tmp_path):
         assert main(["figure", "--figure", "pearson_vs_N",
