@@ -90,7 +90,7 @@ def _cmd_experiments(args) -> int:
                 overrides[name] = _parse_value(SPEC_TYPES[name], str(value))
             except ValueError as exc:
                 raise SpecError(f"--{name.replace('_', '-')}: {exc}") from exc
-    spec = replace(spec, **overrides)  # run_sweep validates it
+    spec = replace(spec, **overrides)
     if not spec.out:
         raise SpecError("the results path (out / --out) is empty")
     axes = [_parse_axis(a) for a in getattr(args, "axis", [])]

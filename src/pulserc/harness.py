@@ -101,10 +101,7 @@ class ExperimentSpec:
                     object.__setattr__(self, name, ran if kind is tuple else ran[0])
             except (TypeError, OverflowError) as exc:  # no sequence; past the float range
                 raise SpecError(f"{name} must be {what}, got {value!r}: {exc}") from None
-
-    def validate(self) -> None:
-        """Raise SpecError on anything inconsistent, before any run; a value
-        of the wrong type never gets here, as no spec holds one."""
+        # then the values, so that no spec, however it is built, is inconsistent
         if self.schema != SCHEMA_VERSION:
             raise SpecError(
                 f"unsupported schema {self.schema!r}; this build reads "
@@ -221,7 +218,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     size changes no result. A block holds its training states, then its
     test states, so at most ``train_len / total_len`` of that at once.
     """
-    spec.validate()
     [record] = _run_points([spec])
     return record
 
@@ -235,7 +231,7 @@ def run_sweep(
 
     Axis values may be numbers or text (as the CLI passes them); each is
     read as its field's type, as a spec file reads it. Every point is
-    validated, and every series it reads is built (:func:`_run_points`),
+    checked as it is built, and every series it reads is built (:func:`_run_points`),
     before any compute and before ``out_path`` is opened. Points that share
     their ``_BLOCK_FIELDS`` are driven together (:func:`_drive_group`), and
     points whose drive rows are equal share their drives, Grams and
@@ -244,7 +240,6 @@ def run_sweep(
     once it and every earlier point are done; their specs then name
     ``out_path`` as their output, as :func:`read_records` gives them.
     """
-    base.validate()
     typed: dict[str, list] = {}
     for name, values in axes or ():
         if name not in SWEEPABLE_FIELDS:
@@ -262,8 +257,6 @@ def run_sweep(
     out = base.out if out_path is None else str(out_path)
     specs = [replace(base, out=out, **dict(zip(typed, combo)))
              for combo in itertools.product(*typed.values())]
-    for s in specs:
-        s.validate()
     records = _run_points(specs)
     if out_path is None:
         return list(records)
@@ -335,9 +328,7 @@ def parse_spec_file(path) -> ExperimentSpec:
             raise SpecError(f"{path}:{lineno}: {exc}") from exc
     if "schema" not in values:
         raise SpecError(f"{path}: missing mandatory 'schema' field")
-    spec = ExperimentSpec(**values)
-    spec.validate()
-    return spec
+    return ExperimentSpec(**values)
 
 
 def write_spec_file(spec: ExperimentSpec, path) -> None:
@@ -417,7 +408,7 @@ def _refuse_oversized(spec: ExperimentSpec) -> None:
     """Raise a SpecError naming the first size field whose part of a run
     alone needs more memory than this host has: one Gram, one replication's
     series or states, one input row per replication, each a lower bound on
-    what the run holds at once. Host-dependent, so not in ``validate``."""
+    what the run holds at once. Host-dependent, so no part of a spec's validity."""
     try:  # the physical memory; where that is unknown, a 47-bit address space
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no os.sysconf on Windows
@@ -721,7 +712,7 @@ def read_records(path) -> list[ResultRecord]:
     record, each column parsed back to its type as spec values are.
 
     Floats come back as written (12 significant digits); each row's spec
-    takes ``path`` as its output path, must validate and hash to the row's
+    takes ``path`` as its output path, must be valid and hash to the row's
     ``spec_hash``, and each ``*_reps`` cell must hold one entry per
     replication. A results file holds no durations and no test traces,
     so ``duration_s`` is NaN and the trace fields are None. A file that
@@ -757,7 +748,6 @@ def read_records(path) -> list[ResultRecord]:
                                   **{k: values.pop(k) for k in SPEC_TYPES if k in values})
             if values.pop("spec_hash") != spec.spec_hash():
                 raise SpecError("the row's fields do not hash to its spec_hash")
-            spec.validate()
             for k in ("pearson_reps", "nrmse_reps", "lambda_reps"):
                 if len(values[k]) != spec.replications:
                     raise SpecError(f"{k} holds {len(values[k])} entries for "

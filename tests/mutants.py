@@ -152,6 +152,19 @@ MUTANTS = [
      "killed", "a repeated grid strength counted twice"),
     ("harness.py", "                        raise fit\n", "                        continue\n",
      "killed", "a fit error skipped instead of re-raised"),
+    # harness.py: a spec's values checked where it is built, as its types are
+    ("harness.py", "not (self.csv_input and self.csv_target)",
+     "not (self.csv_input or self.csv_target)",
+     "killed", "a CSV task built with one of its two paths"),
+    ("harness.py", "if self.replications < 1:", "if self.replications < 0:",
+     "killed", "a spec of zero replications built"),
+    ("harness.py", "if self.lambda_grid and held_out < 2:", "if self.lambda_grid and held_out < 1:",
+     "killed", "a lambda grid built with one held-out row"),
+    ("harness.py", "if not (math.isfinite(lam) and lam >= 0):", "if not lam >= 0:",
+     "killed", "an infinite ridge strength built"),
+    ("harness.py", "                NarmaConfig(self.order, self.total_len, self.seed)\n",
+     "                pass\n",
+     "killed", "a NARMA spec built without NarmaConfig's checks"),
 ]
 
 

@@ -54,6 +54,39 @@ def small_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
+# text that reads back as written: no '#', no line break, no outer
+# whitespace; no tab or NUL either, which a CSV path may not hold
+_text = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="#\n\r\t\0")).map(str.strip)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def drawn_specs(**overrides):
+    """Valid specs with every field drawn: finite floats of any magnitude,
+    ints to 2**63, bools, grids of 0-4 strengths and text that reads back
+    as written; ``overrides`` replaces a field's strategy."""
+    return st.builds(ExperimentSpec, **{
+        "task": st.sampled_from(harness._TASKS), "order": st.integers(1, 11),
+        "compat_narma_sum": st.booleans(), "csv_input": _text.filter(bool),
+        "csv_target": _text.filter(bool), "standardize": st.booleans(),
+        "num_nodes": st.integers(1, 2**63), "alpha": _finite, "beta": _finite,
+        "gain_c": _finite, "pulse_period": _positive, "bandwidth_time": _positive,
+        "noise_sigma": _non_negative, "mask_kind": st.sampled_from(harness.MASK_KINDS),
+        "mask_seed": st.integers(0, 2**63), "washout": st.integers(0, 2**63),
+        "train_len": st.integers(10, 2**63), "test_len": st.integers(2, 2**63),
+        "ridge_lambda": _non_negative,
+        "lambda_grid": st.lists(_non_negative, max_size=4).map(tuple),
+        "replications": st.integers(1, 2**63), "seed": st.integers(0, 2**63),
+        "out": _text, **overrides})
+
+
+def written(x: float) -> float:
+    """A float as a results file holds it: to 12 significant digits."""
+    return float(format(x, ".12g"))
+
+
 class TestSpecFile:
     def test_roundtrip(self, tmp_path):
         spec = ExperimentSpec(
@@ -71,30 +104,10 @@ class TestSpecFile:
         write_spec_file(spec, path)
         assert parse_spec_file(path) == spec
 
-    # text that reads back as written: no '#', no line break, no outer
-    # whitespace; no tab or NUL either, which a CSV path may not hold
-    _text = st.text(st.characters(blacklist_categories=("Cs",),
-                                  blacklist_characters="#\n\r\t\0")).map(str.strip)
-    _finite = st.floats(allow_nan=False, allow_infinity=False)
-    _non_negative = st.floats(min_value=0.0, allow_infinity=False)
-    _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(spec=st.builds(
-        ExperimentSpec,
-        task=st.sampled_from(harness._TASKS), order=st.integers(1, 11),
-        compat_narma_sum=st.booleans(), csv_input=_text.filter(bool),
-        csv_target=_text.filter(bool), standardize=st.booleans(),
-        num_nodes=st.integers(1, 2**63), alpha=_finite, beta=_finite, gain_c=_finite,
-        pulse_period=_positive, bandwidth_time=_positive, noise_sigma=_non_negative,
-        mask_kind=st.sampled_from(harness.MASK_KINDS), mask_seed=st.integers(0, 2**63),
-        washout=st.integers(0, 2**63), train_len=st.integers(10, 2**63),
-        test_len=st.integers(2, 2**63), ridge_lambda=_non_negative,
-        lambda_grid=st.lists(_non_negative, max_size=4).map(tuple),
-        replications=st.integers(1, 2**63), seed=st.integers(0, 2**63), out=_text))
+    @given(spec=drawn_specs())
     def test_roundtrip_drawn(self, tmp_path, spec):
-        spec.validate()
         path = tmp_path / "exp.spec"
         write_spec_file(spec, path)
         back = parse_spec_file(path)
@@ -135,7 +148,7 @@ class TestSpecFile:
         paths = [*sorted((README.parent / "specs").iterdir()), readme_spec]
         assert len(paths) > 1
         for path in paths:
-            parse_spec_file(path)  # parses, then validates
+            parse_spec_file(path)  # parses, and so is checked
 
     def test_integral_number_for_int_field(self, tmp_path):
         path = tmp_path / "exp.spec"
@@ -223,9 +236,9 @@ class TestSpecFile:
     ], ids=["leading-space", "trailing-tab", "hash-first", "hash-after-space",
             "line-feed", "carriage-return"])
     def test_value_that_reads_back_otherwise_is_not_written(self, tmp_path, name, value):
+        # the spec builds, so running it stays allowed
         spec = small_spec(**{"task": "csv", "csv_input": "runs.csv",
                              "csv_target": "column:y", name: value})
-        spec.validate()  # running it stays allowed
         path = tmp_path / "exp.spec"
         with pytest.raises(SpecError, match=f"^{name} = {re.escape(repr(value))} cannot"):
             write_spec_file(spec, path)
@@ -285,10 +298,11 @@ class TestRunExperiment:
         (dict(task="csv"), "task 'csv' needs csv_input and csv_target"),
         (dict(task="csv", csv_input="u.csv"), "task 'csv' needs csv_input and csv_target"),
         (dict(washout=-1), "washout must be >= 0, got -1"),
+        (dict(order=0), "order must be >= 1, got 0"),  # NarmaConfig's own rule
     ])
     def test_inconsistent_spec_is_named(self, overrides, message):
         with pytest.raises(SpecError, match=re.escape(message)):
-            small_spec(**overrides).validate()
+            small_spec(**overrides)
 
     @pytest.mark.parametrize("overrides", [
         dict(seed=1.5),  # would run as seed 1, and be written as 1.5
@@ -306,7 +320,7 @@ class TestRunExperiment:
     def test_value_of_the_wrong_type_rejected(self, overrides, tmp_path):
         [name] = overrides
         with pytest.raises(SpecError, match=f"^{name} must be "):
-            small_spec(**overrides).validate()
+            small_spec(**overrides)
         # refused before the results file is opened, not mid-run
         out = tmp_path / "r.tsv"
         with pytest.raises(SpecError, match=f"^{name} must be "):
@@ -319,8 +333,8 @@ class TestRunExperiment:
     def test_size_no_run_can_hold_refused_before_the_series(self, overrides, tmp_path,
                                                             monkeypatch):
         [name] = overrides
+        # the spec builds: how much memory a host has is no part of a spec's validity
         spec = small_spec(**overrides)
-        spec.validate()  # how much memory a host has is no part of a spec's validity
 
         def fail(*args, **kwargs):
             raise AssertionError("series stage started")
@@ -344,7 +358,6 @@ class TestRunExperiment:
         # NumPy scalars are numbers, and an int is a real number
         spec = small_spec(num_nodes=np.int64(10), alpha=1, lambda_grid=(np.float64(1e-6), 0),
                           replications=1)
-        spec.validate()
         assert np.isfinite(run_experiment(spec).pearson_mean)
 
     @pytest.mark.parametrize("overrides", [
@@ -355,26 +368,24 @@ class TestRunExperiment:
     ])
     def test_non_finite_lambda_rejected(self, overrides):
         with pytest.raises(SpecError, match="finite"):
-            small_spec(**overrides).validate()
+            small_spec(**overrides)
 
     @pytest.mark.parametrize("task", ["narma", "csv"])
     @pytest.mark.parametrize("name", ["csv_input", "csv_target"])
     @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
     def test_tab_or_line_break_in_csv_path_rejected(self, task, name, char):
         # every results row holds both paths as cells, whatever the task
-        spec = small_spec(task=task, **{"csv_input": "u.csv", "csv_target": "y.csv",
-                                        name: f"a{char}b.csv"})
         with pytest.raises(SpecError, match=f"{name} holds a tab or line break"):
-            spec.validate()
+            small_spec(task=task, **{"csv_input": "u.csv", "csv_target": "y.csv",
+                                     name: f"a{char}b.csv"})
 
     @pytest.mark.parametrize("task", ["narma", "csv"])
     @pytest.mark.parametrize("name", ["csv_input", "csv_target"])
     def test_nul_in_csv_path_rejected(self, task, name):
         # no file path holds a NUL byte; open() would fail on it mid-run
-        spec = small_spec(task=task, **{"csv_input": "u.csv", "csv_target": "y.csv",
-                                        name: "a\0b.csv"})
         with pytest.raises(SpecError, match=f"{name} holds a NUL byte"):
-            spec.validate()
+            small_spec(task=task, **{"csv_input": "u.csv", "csv_target": "y.csv",
+                                     name: "a\0b.csv"})
 
     def test_two_held_out_rows_run(self):
         # 6 training rows: the grid fits on 4 and scores on 2
@@ -384,14 +395,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("task", ["narma", "surrogate", "csv"])
     def test_block_size_changes_no_result(self, monkeypatch, tmp_path, task):
-        spec = small_spec(replications=5, noise_sigma=0.01, task=task)
+        csv = {}
         if task == "csv":
             data = tmp_path / "data.csv"
             rng = np.random.default_rng(5)
             data.write_text("u,y\n" + "".join(
                 f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (400, 2)).tolist()))
-            spec = replace(spec, csv_input=str(data), csv_target="column:y",
-                           standardize=True)
+            csv = dict(csv_input=str(data), csv_target="column:y", standardize=True)
+        spec = small_spec(replications=5, noise_sigma=0.01, task=task, **csv)
         together = run_experiment(spec)
         # 1 byte: every replication is driven on its own
         monkeypatch.setattr(harness, "_DRIVE_BLOCK_BYTES", 1)
@@ -407,16 +418,17 @@ class TestRunExperiment:
 
     @staticmethod
     def _drawn_spec(tmp_path, task, num_nodes, replications, noise) -> ExperimentSpec:
-        spec = small_spec(task=task, num_nodes=num_nodes, replications=replications,
+        spec = small_spec(num_nodes=num_nodes, replications=replications,
                           noise_sigma=0.01 if noise else 0.0, washout=10, train_len=60,
                           test_len=20)
         if task != "csv":
-            return spec
+            return replace(spec, task=task)
         data = tmp_path / "data.csv"
         rng = np.random.default_rng(5)
         data.write_text("u,y\n" + "".join(
             f"{a!r},{b!r}\n" for a, b in rng.uniform(0, 1, (spec.total_len, 2)).tolist()))
-        return replace(spec, csv_input=str(data), csv_target="column:y", standardize=True)
+        return replace(spec, task="csv", csv_input=str(data), csv_target="column:y",
+                       standardize=True)
 
     # 100 examples of two small experiments each; tmp_path only holds
     # one CSV file, which every example writes alike
@@ -593,9 +605,8 @@ class TestTaskMemo:
     @pytest.mark.parametrize("task", ["narma", "surrogate", "csv"])
     @pytest.mark.parametrize("field", ["task", *_TASK_FIELD_CHANGES])
     def test_key_is_complete(self, tmp_path, task, field):
-        first = small_spec(task=task)
-        if task == "csv":
-            first = TestDriveGroups._csv_spec(tmp_path, standardize=False)
+        first = (TestDriveGroups._csv_spec(tmp_path, standardize=False) if task == "csv"
+                 else small_spec(task=task))
         other_task = "surrogate" if task == "narma" else "narma"
         second = replace(first, **{field: _TASK_FIELD_CHANGES.get(field, other_task)})
         # the two points one after the other, sharing one memo as a sweep's
@@ -1076,12 +1087,13 @@ class TestFitErrors:
         # replication 0, its first
         rng = np.random.default_rng(5)
         paths = {name: tmp_path / f"{name}.csv" for name in ("u", "y", "flat")}
-        spec = small_spec(task="csv", csv_input=str(paths["u"]))
+        spec = small_spec(csv_input=str(paths["u"]))
         series = rng.uniform(0, 1, (3, spec.total_len))
         series[2, spec.washout + spec.train_len:] = 0.5
         for path, values in zip(paths.values(), series):
             path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-        good, flat = (replace(spec, csv_target=str(paths[name])) for name in ("y", "flat"))
+        good, flat = (replace(spec, task="csv", csv_target=str(paths[name]))
+                      for name in ("y", "flat"))
         rows = TestDriveGroups._count_rows(monkeypatch)
         systems = []
         real = harness.normal_equations
@@ -1253,10 +1265,14 @@ class TestFigureData:
 
 class TestCli:
     def _spec_file(self, tmp_path, **overrides):
-        spec = small_spec(replications=1, out=str(tmp_path / "res.tsv"),
-                          **overrides)
+        """The spec file of ``small_spec(replications=1)`` writing to res.tsv,
+        each override in its field's line as its text: written directly, as
+        a file may hold a spec that does not build."""
+        base = small_spec(replications=1, out=str(tmp_path / "res.tsv"))
+        values = {**{f.name: getattr(base, f.name) for f in fields(base)}, **overrides}
         path = tmp_path / "exp.spec"
-        write_spec_file(spec, path)
+        path.write_text("".join(f"{k} = {harness._fmt_value(v, exact=True)}\n"
+                                for k, v in values.items()), encoding="utf-8")
         return path
 
     def test_run(self, tmp_path, capsys):
@@ -1374,6 +1390,37 @@ class TestCli:
         path = self._spec_file(tmp_path, **overrides)
         assert main([args[0], "--spec", str(path), *args[1:]]) == 2
         assert word in capsys.readouterr().err
+
+    # one invalid value fails with one message whatever builds its spec
+    _ZERO_REPLICATIONS = "replications must be >= 1, got 0"
+
+    def test_zero_replications_same_error_through_every_builder(self, tmp_path):
+        message = re.escape(self._ZERO_REPLICATIONS) + "$"
+        with pytest.raises(SpecError, match="^" + message):
+            small_spec(replications=0)
+        with pytest.raises(SpecError, match="^" + message):
+            replace(small_spec(), replications=0)
+        with pytest.raises(SpecError, match="^" + message):
+            parse_spec_file(self._spec_file(tmp_path, replications=0))
+        # a results row whose replications cell reads 0; its line is named
+        out = tmp_path / "res.tsv"
+        run_sweep(small_spec(replications=1), [], out)
+        *lines, header, row = out.read_text().splitlines()
+        cells = row.split("\t")
+        cells[header.split("\t").index("replications")] = "0"
+        out.write_text("\n".join([*lines, header, "\t".join(cells)]) + "\n")
+        with pytest.raises(SpecError, match=f"^{re.escape(f'{out}:{len(lines) + 2}: ')}{message}"):
+            read_records(out)
+
+    @pytest.mark.parametrize("args", [["run", "--replications", "0"],
+                                      ["sweep", "--axis", "replications=0,2"]])
+    def test_zero_replications_same_error_on_the_command_line(self, tmp_path, monkeypatch,
+                                                              capsys, args):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        assert main([args[0], "--spec", str(path), *args[1:]]) == 2
+        assert capsys.readouterr().err == f"pulserc: spec error: {self._ZERO_REPLICATIONS}\n"
+        assert not (tmp_path / "res.tsv").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_empty_out_is_spec_error(self, tmp_path, monkeypatch, capsys,
@@ -1727,10 +1774,6 @@ class TestRecordsFile:
         write_records(out, spec, axes, records)
         back = read_records(out)
         assert len(back) == len(records)
-
-        def written(x):  # a float as the file holds it
-            return float(format(x, ".12g"))
-
         for rec, got in zip(records, back):
             assert got.spec.to_dict() == rec.spec.to_dict()
             assert list(got.spec.to_dict()) == list(rec.spec.to_dict())
@@ -1747,6 +1790,32 @@ class TestRecordsFile:
         again = tmp_path / "again.tsv"
         write_records(again, spec, axes, back)
         assert again.read_bytes() == out.read_bytes()
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(specs=st.lists(drawn_specs(replications=st.integers(1, 4)), min_size=1, max_size=3),
+           data=st.data())
+    def test_read_records_inverts_write_records_drawn(self, tmp_path, specs, data):
+        records = [ResultRecord(spec, *(data.draw(st.lists(_finite, min_size=n, max_size=n))
+                                        for n in [spec.replications] * 3),
+                                *data.draw(st.lists(_finite, min_size=4, max_size=4)),
+                                duration_s=1.0)
+                   for spec in specs]
+        out = tmp_path / "res.tsv"
+        write_records(out, specs[0], [], records)
+        back = read_records(out)
+        assert len(back) == len(records)
+        for rec, got in zip(records, back):
+            # every float of the spec to 12 digits, as the file holds it
+            floats = {k: getattr(rec.spec, k) for k, kind in harness.SPEC_TYPES.items()
+                      if kind in (float, tuple)}
+            expected = replace(rec.spec, out=str(out), **{
+                k: tuple(map(written, v)) if isinstance(v, tuple) else written(v)
+                for k, v in floats.items()})
+            assert got.spec == expected
+            assert got.spec.spec_hash() == rec.spec.spec_hash()
+            for name in ("pearson_reps", "nrmse_reps", "lambda_reps"):
+                assert getattr(got, name) == list(map(written, getattr(rec, name)))
 
     def test_sweep_records_equal_their_read_back_twins(self, tmp_path):
         out = tmp_path / "res.tsv"
