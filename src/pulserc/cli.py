@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .errors import DivergenceError, ParameterError, PulseRcError, SpecError
-from .harness import (SPEC_TYPES, _parse_value, _run_points, emit_figure_data,
+from .harness import (SPEC_TYPES, _field_value, _run_points, emit_figure_data,
                       parse_spec_file, read_records, run_sweep)
 from .tasks import NarmaConfig, gen_narma
 
@@ -86,10 +86,7 @@ def _cmd_experiments(args) -> int:
     overrides = {}
     for name, value in vars(args).items():  # read as a spec file reads the field
         if name in SPEC_TYPES and value is not None:
-            try:
-                overrides[name] = _parse_value(SPEC_TYPES[name], str(value))
-            except ValueError as exc:
-                raise SpecError(f"--{name.replace('_', '-')}: {exc}") from exc
+            overrides[name] = _field_value(name, str(value), f"--{name.replace('_', '-')}")
     spec = replace(spec, **overrides)
     if not spec.out:
         raise SpecError("the results path (out / --out) is empty")

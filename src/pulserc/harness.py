@@ -52,7 +52,9 @@ _DRIVE_BLOCK_BYTES = 8 * 2**20
 _BLOCK_FIELDS = ("num_nodes", "pulse_period", "bandwidth_time", "noise_sigma",
                  "washout", "train_len", "test_len", "lambda_grid")
 
-_TASKS = ("narma", "surrogate", "csv")
+# the fields that take one of a fixed set of values, and those values
+_CHOICES = {"task": ("narma", "surrogate", "csv"),
+            "mask_kind": MASK_KINDS}
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ class ExperimentSpec:
             raise SpecError(
                 f"unsupported schema {self.schema!r}; this build reads "
                 f"schema {SCHEMA_VERSION}")
-        if self.task not in _TASKS:
-            raise SpecError(f"task must be one of {_TASKS}, got {self.task!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise SpecError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.task == "csv" and not (self.csv_input and self.csv_target):
             raise SpecError("task 'csv' needs csv_input and csv_target")
         for name in ("csv_input", "csv_target"):  # each is a cell of a results row
@@ -115,9 +118,6 @@ class ExperimentSpec:
                 raise SpecError(f"{name} holds a tab or line break: {getattr(self, name)!r}")
             if "\0" in getattr(self, name):  # no file path holds one
                 raise SpecError(f"{name} holds a NUL byte: {getattr(self, name)!r}")
-        if self.mask_kind not in MASK_KINDS:
-            raise SpecError(
-                f"mask_kind must be one of {MASK_KINDS}, got {self.mask_kind!r}")
         if self.replications < 1:
             raise SpecError(f"replications must be >= 1, got {self.replications}")
         if self.train_len < 1 or self.test_len < 2:
@@ -177,9 +177,10 @@ _FIELD_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a 
                 tuple: (numbers.Real, "real numbers"), bool: (bool, "a bool"),
                 str: (str, "a string")}
 
-# numeric fields a sweep axis may override
+# the fields a sweep axis may override: all but the schema, the output path
+# and lambda_grid, whose text holds the CLI's axis separator
 SWEEPABLE_FIELDS = frozenset(
-    k for k, kind in SPEC_TYPES.items() if kind in (int, float) and k != "schema")
+    k for k, kind in SPEC_TYPES.items() if kind is not tuple and k not in ("schema", "out"))
 
 
 @dataclass
@@ -229,8 +230,9 @@ def run_sweep(
 ) -> list[ResultRecord]:
     """Run the Cartesian product of axis values over the base spec.
 
-    Axis values may be numbers or text (as the CLI passes them); each is
-    read as its field's type, as a spec file reads it. Every point is
+    An axis names one of ``SWEEPABLE_FIELDS``; its values may be numbers,
+    bools or text (as the CLI passes them), each read as a spec file reads
+    the field (:func:`_field_value`). Every point is
     checked as it is built, and every series it reads is built (:func:`_run_points`),
     before any compute and before ``out_path`` is opened. Points that share
     their ``_BLOCK_FIELDS`` are driven together (:func:`_drive_group`), and
@@ -250,10 +252,7 @@ def run_sweep(
             raise SpecError(f"sweep axis {name!r} is given more than once")
         if not values:
             raise SpecError(f"sweep axis {name!r} has no values")
-        try:
-            typed[name] = [_parse_value(SPEC_TYPES[name], str(v)) for v in values]
-        except ValueError as exc:
-            raise SpecError(f"field {name!r}: {exc}") from exc
+        typed[name] = [_field_value(name, str(v), f"field {name!r}") for v in values]
     out = base.out if out_path is None else str(out_path)
     specs = [replace(base, out=out, **dict(zip(typed, combo)))
              for combo in itertools.product(*typed.values())]
@@ -322,10 +321,7 @@ def parse_spec_file(path) -> ExperimentSpec:
                 f"{', '.join(sorted(SPEC_TYPES))}")
         if key in values:
             raise SpecError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _parse_value(SPEC_TYPES[key], text)
-        except ValueError as exc:
-            raise SpecError(f"{path}:{lineno}: {exc}") from exc
+        values[key] = _field_value(key, text, f"{path}:{lineno}")
     if "schema" not in values:
         raise SpecError(f"{path}: missing mandatory 'schema' field")
     return ExperimentSpec(**values)
@@ -343,6 +339,16 @@ def write_spec_file(spec: ExperimentSpec, path) -> None:
             raise SpecError(f"{f.name} = {text!r} cannot be written to a spec file")
         lines.append(f"{f.name} = {text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _field_value(name: str, text: str, where: str):
+    """``text`` read as spec field ``name``, as spec files, overrides and
+    sweep axes read it; text the field cannot take is a SpecError that
+    begins with ``where``."""
+    try:
+        return _parse_value(SPEC_TYPES[name], text)
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from exc
 
 
 def _parse_value(kind: type, text: str):
@@ -452,21 +458,21 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: l
 
 def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
     """Every point's inputs and targets, cut to its total length, as two
-    lists of ``replications`` rows: views of its series, each standardized
-    on its own if the spec asks, not copies.
+    lists of its ``replications`` rows: views of its series, each
+    standardized on its own if the spec asks, not copies. A point's rows
+    depend on its own spec alone.
 
     Each CSV file pair is read once, the call's snapshot of it, whose one
     pair of rows serves every replication. Each generated task is drawn
     once, at the most replications any point needs; all NARMA rows in one
     :func:`gen_narma_lockstep` call per (length, sum convention), where the
     orders at one seed share each input draw; an order that diverges for
-    every redraw is a SpecError. Points that read the same task, length
-    and standardize split share one pair of row lists.
+    every redraw is a SpecError.
     """
     load = functools.cache(load_csv_task)  # each file pair read once per call
     # sorted by replication count, so that the last spec of a key needs the most
-    by_reps = sorted(specs, key=lambda spec: spec.replications)
-    generated = {_task_key(s): s for s in by_reps if s.task != "csv"}
+    generated = {_task_key(s): s for s in sorted(specs, key=lambda spec: spec.replications)
+                 if s.task != "csv"}
     drawn: dict[tuple, list] = {}
     passes: dict[tuple, list] = {}
     seed_of = functools.cache(derive_seed)  # each seed once, whatever the order
@@ -497,15 +503,8 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
         if spec.standardize:
             series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
         return [ds.inputs[:n] for ds in series] * repeats, [ds.targets[:n] for ds in series] * repeats
-
-    def pair_key(s: ExperimentSpec) -> tuple:
-        # the length and the standardize split too, which a CSV task's key
-        # leaves out so that its file is read once
-        return (_task_key(s), s.total_len, s.standardize and s.washout + s.train_len)
-    widest = {pair_key(s): s for s in by_reps}
     # built in the points' order, so that the first failing point's error stands
-    pairs = {key: pair(widest[key]) for key in dict.fromkeys(map(pair_key, specs))}
-    return [pairs[pair_key(s)] for s in specs]
+    return [pair(spec) for spec in specs]
 
 
 def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) -> dict:

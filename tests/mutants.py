@@ -15,7 +15,8 @@ Each mutant is applied to a temporary copy of the repository, where the
 tier-1 tests run with ``-x`` under a single BLAS thread, as the golden
 files need. The runner prints each outcome and the killed, survived and
 equivalent counts, and exits 1 if any mutant's outcome differs from its
-expected one. ``tests/test_mutants.py`` checks that each old text occurs
+expected one. SIGINT or SIGTERM stops the running tests (and every process
+they started), removes the copy and exits with 128 plus the signal number. ``tests/test_mutants.py`` checks that each old text occurs
 exactly once in its file, so the list cannot go stale silently.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -31,6 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = Path("src") / "pulserc"
+# the tier-1 tests of a copy, stopping at the first failure, without the
+# guard on this list (every mutant fails it)
+PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py"]
 
 MUTANTS = [
     # readout.py: one ridge solve call, each strength factored on its first solve
@@ -165,18 +171,50 @@ MUTANTS = [
     ("harness.py", "                NarmaConfig(self.order, self.total_len, self.seed)\n",
      "                pass\n",
      "killed", "a NARMA spec built without NarmaConfig's checks"),
+    # harness.py: one spec vocabulary: every scalar field a sweep axis, the
+    # choice fields in one table, one text reader, each point's own series
+    ("harness.py", '_CHOICES = {"task": ("narma", "surrogate", "csv"),\n'
+                   '            "mask_kind": MASK_KINDS}\n',
+     '_CHOICES = {"task": ("narma", "surrogate", "csv")}\n',
+     "killed", "a choice table that drops mask_kind"),
+    ("harness.py", "if kind is not tuple and k not in (\"schema\", \"out\"))",
+     "if kind in (int, float) and k not in (\"schema\", \"out\"))",
+     "killed", "the numeric-only sweep rule restored"),
+    ("harness.py", 'raise SpecError(f"{where}: {exc}") from exc',
+     'raise SpecError(f"{name}: {exc}") from exc',
+     "killed", "a text error prefixed with its field, not its place"),
+    ("harness.py", '_field_value(name, str(v), f"field {name!r}")',
+     '_field_value(name, str(v), f"{name!r}")',
+     "killed", "an axis text error without its 'field' prefix"),
+    ("harness.py", "series, repeats = drawn[_task_key(spec)][:spec.replications], 1",
+     "series, repeats = drawn[_task_key(spec)], 1",
+     "killed", "a point reading another point's replication count"),
 ]
 
 
+class Stopped(Exception):
+    """The runner was sent SIGINT or SIGTERM; ``args[0]`` is the signal."""
+
+
+def _stop(signum, frame):
+    raise Stopped(signum)
+
+
 def _pytest(copy: Path) -> int:
-    """The tier-1 tests of ``copy``, stopping at the first failure, without
-    the guard on this list (every mutant fails it)."""
+    """The exit code of ``PYTEST`` run in ``copy``. It runs in a session of
+    its own, so that when the runner is stopped, it and every process it
+    started are killed and waited for before the copy is removed."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", "--ignore", "tests/test_mutants.py"],
-        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    child = subprocess.Popen([sys.executable, *PYTEST], cwd=copy, env=env,
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                             start_new_session=True)
+    try:
+        return child.wait()
+    finally:
+        if child.returncode is None:  # stopped before the tests ended
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
 
 
 def main(argv=None) -> int:
@@ -187,6 +225,17 @@ def main(argv=None) -> int:
     chosen = [m for m in MUTANTS if args.only in (None, m[0], Path(m[0]).stem)]
     if not chosen:
         parser.error(f"no mutants of {args.only!r}")
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, _stop)
+    try:
+        return _run(chosen)
+    except Stopped as exc:
+        print(f"stopped by signal {exc.args[0]}; the copy is removed", flush=True)
+        return 128 + exc.args[0]
+
+
+def _run(chosen: list) -> int:
+    """Run each mutant of ``chosen`` in one temporary copy of the repository."""
     counts = dict.fromkeys(("killed", "survived", "equivalent"), 0)
     unexpected = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -68,7 +68,7 @@ def drawn_specs(**overrides):
     ints to 2**63, bools, grids of 0-4 strengths and text that reads back
     as written; ``overrides`` replaces a field's strategy."""
     return st.builds(ExperimentSpec, **{
-        "task": st.sampled_from(harness._TASKS), "order": st.integers(1, 11),
+        "task": st.sampled_from(harness._CHOICES["task"]), "order": st.integers(1, 11),
         "compat_narma_sum": st.booleans(), "csv_input": _text.filter(bool),
         "csv_target": _text.filter(bool), "standardize": st.booleans(),
         "num_nodes": st.integers(1, 2**63), "alpha": _finite, "beta": _finite,
@@ -317,14 +317,24 @@ class TestRunExperiment:
         dict(lambda_grid=0.5),  # no sequence
         dict(lambda_grid=None),
     ])
-    def test_value_of_the_wrong_type_rejected(self, overrides, tmp_path):
+    def test_value_of_the_wrong_type_rejected(self, overrides):
         [name] = overrides
         with pytest.raises(SpecError, match=f"^{name} must be "):
             small_spec(**overrides)
-        # refused before the results file is opened, not mid-run
+
+    @pytest.mark.parametrize("axis, message", [
+        (("num_nodes", ["abc"]), "field 'num_nodes': expected an integer, got 'abc'"),
+        (("mask_kind", ["triangle"]),
+         "mask_kind must be one of ('uniform', 'binary'), got 'triangle'"),
+    ])
+    def test_axis_value_no_spec_may_hold_rejected(self, axis, message, tmp_path,
+                                                  monkeypatch):
+        # text the field cannot take, and a value outside the choice table:
+        # refused before any compute and before the results file is opened
+        TestCli._forbid_compute(monkeypatch)
         out = tmp_path / "r.tsv"
-        with pytest.raises(SpecError, match=f"^{name} must be "):
-            run_sweep(small_spec(**overrides), [], out)
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            run_sweep(small_spec(), [axis], out)
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [
@@ -656,7 +666,7 @@ class TestTaskMemo:
                                                                  monkeypatch):
         calls = self._count(monkeypatch, "load_csv_task")
         base = TestDriveGroups._csv_spec(tmp_path, standardize=False)
-        # two lengths, each raw and standardized; one pair of row lists each
+        # two lengths, each raw and standardized: four points, one file read
         points = [replace(base, train_len=n, standardize=flag)
                   for n in (150, 200) for flag in (False, True)]
         records = list(harness._run_points(points))
@@ -718,6 +728,19 @@ class TestTaskMemo:
         assert len(inputs) == len(targets) == replications
         assert len({id(row) for row in inputs + targets}) == 2
         assert held_bytes(inputs) == held_bytes(targets) == 400 * 8
+
+    def test_point_series_depend_on_its_own_spec(self, tmp_path):
+        # the points of one call read the call's draws and file reads, but
+        # each holds its own replications' rows, as it does when alone
+        csv = TestDriveGroups._csv_spec(tmp_path, standardize=False)
+        points = [small_spec(replications=2), small_spec(replications=4),
+                  small_spec(replications=3, standardize=True),
+                  replace(csv, replications=2), replace(csv, replications=5, standardize=True)]
+        for spec, pair in zip(points, harness._series(points), strict=True):
+            [alone] = harness._series([spec])
+            for rows, rows_alone in zip(pair, alone, strict=True):
+                assert len(rows) == len(rows_alone) == spec.replications
+                assert all(map(np.array_equal, rows, rows_alone))
 
     def test_trace_targets_do_not_alias_the_memo(self):
         spec = small_spec()
@@ -850,7 +873,9 @@ class TestDriveGroups:
         alpha=st.floats(0.0, 1.5), beta=st.floats(0.1, 2.0), num_nodes=st.integers(1, 12),
         order=st.integers(2, 6), seed=st.integers(0, 1000), mask_seed=st.integers(0, 1000),
         noise_sigma=st.sampled_from([0.0, 0.01, 0.05]),
-        ridge_lambda=st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]))
+        ridge_lambda=st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]),
+        mask_kind=st.sampled_from(harness.MASK_KINDS), standardize=st.booleans(),
+        compat_narma_sum=st.booleans())
 
     @settings(max_examples=60, deadline=None)
     @given(task=st.sampled_from(["narma", "surrogate"]), replications=st.integers(1, 2),
@@ -864,6 +889,20 @@ class TestDriveGroups:
                           replications=replications)
         records = run_sweep(base, axes)
         for rec, spec in zip(records, _sweep_points(base, axes), strict=True):
+            assert same_records(rec, run_experiment(spec))
+
+    @pytest.mark.parametrize("base_overrides", [
+        {}, dict(lambda_grid=(1e-6, 1e-2)), dict(noise_sigma=0.01, order=7)])
+    def test_choice_and_bool_sweep_equals_standalone_runs(self, tmp_path, base_overrides):
+        # every point of task x mask_kind x standardize x compat_narma_sum,
+        # the CSV paths set in the base, as its own run
+        base = replace(self._csv_spec(tmp_path, replications=3, **base_overrides), task="narma")
+        axes = [("task", ["narma", "surrogate", "csv"]), ("mask_kind", ["uniform", "binary"]),
+                ("standardize", [False, True]), ("compat_narma_sum", [False, True])]
+        records = run_sweep(base, axes)
+        points = _sweep_points(base, axes)
+        assert len(records) == len(points) == 24
+        for rec, spec in zip(records, points, strict=True):
             assert same_records(rec, run_experiment(spec))
 
     def test_order_and_lambda_points_share_drives(self, monkeypatch):
@@ -1582,6 +1621,25 @@ class TestCli:
     def test_bad_axis_exit_code(self, tmp_path):
         path = self._spec_file(tmp_path)
         assert main(["sweep", "--spec", str(path), "--axis", "flux=1,2"]) == 2
+
+    @pytest.mark.parametrize("axis", ["lambda_grid=1e-6", "out=a.tsv", "schema=1"])
+    def test_axis_outside_the_sweep_rule_exit_code(self, tmp_path, capsys, monkeypatch, axis):
+        self._forbid_compute(monkeypatch)
+        path = self._spec_file(tmp_path)
+        assert main(["sweep", "--spec", str(path), "--axis", axis]) == 2
+        assert "unknown sweep field" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.spec"]
+
+    def test_choice_and_bool_axes(self, tmp_path):
+        path = self._spec_file(tmp_path)
+        out = tmp_path / "sweep.tsv"
+        assert main(["sweep", "--spec", str(path), "--out", str(out),
+                     "--axis", "mask_kind=uniform,binary",
+                     "--axis", "standardize=false,true"]) == 0
+        text = out.read_text()
+        assert "# axis: mask_kind = uniform,binary\n# axis: standardize = false,true\n" in text
+        assert [(r.spec.mask_kind, r.spec.standardize) for r in read_records(out)] == [
+            ("uniform", False), ("uniform", True), ("binary", False), ("binary", True)]
 
     @pytest.mark.parametrize("args, message", [
         (["sweep", "--spec", "{spec}", "--axis", "order"], "axis must look like FIELD=V1,V2"),
