@@ -30,8 +30,8 @@ import numpy as np
 from .errors import PulseRcError, SpecError
 from .readout import evaluate, normal_equations, nrmse, predict
 from .reservoir import MASK_KINDS, ReservoirParams, drive_block, generate_mask
-from .tasks import (NarmaConfig, _divergence_error, _text_lines, gen_narma_lockstep,
-                    gen_surrogate_laser, load_csv_task, standardize)
+from .tasks import (NarmaConfig, TaskDataset, _divergence_error, _text_lines,
+                    gen_narma_lockstep, gen_surrogate_laser, load_csv_task, standardize)
 
 SCHEMA_VERSION = 1
 
@@ -447,7 +447,7 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: l
         duration = share + (time.perf_counter() - t0) / len(group)
         for i, outcome in fits.items():
             done[i] = (outcome if isinstance(outcome, Exception)
-                       else _record(specs[i], outcome, series[i][1], duration))
+                       else _record(specs[i], outcome, series[i], duration))
         del fits
         while emitted < len(specs) and done[emitted] is not None:
             if isinstance(done[emitted], Exception):
@@ -456,20 +456,21 @@ def _run_groups(specs: list[ExperimentSpec], members: list[list[int]], series: l
             emitted += 1
 
 
-def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
-    """Every point's inputs and targets, cut to its total length, as two
-    lists of its ``replications`` rows: views of its series, each
-    standardized on its own if the spec asks, not copies. A point's rows
-    depend on its own spec alone.
+def _series(specs: list[ExperimentSpec]) -> list[list[TaskDataset]]:
+    """Every point's list of its ``replications`` datasets, shared by
+    reference between the points that read them, at least as long as its
+    total length. A point's list depends on its own spec alone.
 
     Each CSV file pair is read once, the call's snapshot of it, whose one
-    pair of rows serves every replication. Each generated task is drawn
-    once, at the most replications any point needs; all NARMA rows in one
+    dataset serves every replication. Each generated task is drawn once,
+    at the most replications any point needs; all NARMA rows in one
     :func:`gen_narma_lockstep` call per (length, sum convention), where the
     orders at one seed share each input draw; an order that diverges for
-    every redraw is a SpecError.
+    every redraw is a SpecError. Each dataset is standardized once per
+    training split ``washout + train_len``.
     """
     load = functools.cache(load_csv_task)  # each file pair read once per call
+    scaled = functools.cache(standardize)  # each dataset once per split
     # sorted by replication count, so that the last spec of a key needs the most
     generated = {_task_key(s): s for s in sorted(specs, key=lambda spec: spec.replications)
                  if s.task != "csv"}
@@ -490,28 +491,28 @@ def _series(specs: list[ExperimentSpec]) -> list[tuple[list, list]]:
                 raise SpecError(f"replication {r}: {_divergence_error(cfg)}")
             drawn.setdefault(key, []).append(ds)
 
-    def pair(spec: ExperimentSpec) -> tuple[list, list]:
-        n = spec.total_len
+    def datasets(spec: ExperimentSpec) -> list[TaskDataset]:
         if spec.task == "csv":
             ds = load(spec.csv_input, spec.csv_target)
-            if ds.length < n:
+            if ds.length < spec.total_len:
                 raise SpecError(f"task {ds.name!r} provides {ds.length} "
-                                f"samples but washout+train+test needs {n}")
-            series, repeats = [ds], spec.replications
+                                f"samples but washout+train+test needs {spec.total_len}")
+            series = [ds] * spec.replications
         else:
-            series, repeats = drawn[_task_key(spec)][:spec.replications], 1
+            series = drawn[_task_key(spec)][:spec.replications]
         if spec.standardize:
-            series = [standardize(ds, spec.washout + spec.train_len) for ds in series]
-        return [ds.inputs[:n] for ds in series] * repeats, [ds.targets[:n] for ds in series] * repeats
+            series = [scaled(ds, spec.washout + spec.train_len) for ds in series]
+        return series
     # built in the points' order, so that the first failing point's error stands
-    return [pair(spec) for spec in specs]
+    return [datasets(spec) for spec in specs]
 
 
 def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) -> dict:
     """Every outcome of one drive group: for each point ``i`` of ``group``,
-    with its (inputs, targets) in ``series[i]``, its per-replication fits
-    in replication order, or the library error that stopped it. As in the
-    record, only replication 0 keeps its test predictions and weights.
+    with its datasets in ``series[i]``, each cut to the group's total length
+    as it is read, its per-replication fits in replication order, or the
+    library error that stopped it. As in the record, only replication 0
+    keeps its test predictions and weights.
 
     The points share their ``_BLOCK_FIELDS``, read from the first; each
     point's replication r is a drive row of its own mask (``mask_seed``,
@@ -530,6 +531,7 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
     """
     outcomes: dict = {i: [] for i in group}
     lead = specs[group[0]]
+    n, split = lead.total_len, lead.washout + lead.train_len
     users: dict[tuple, list[int]] = {}
     seed_of = functools.cache(derive_seed)  # points share their base seeds
     # replication-major, so every point fits its replications in order
@@ -538,16 +540,14 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
             if r < (spec := specs[i]).replications:
                 users.setdefault((r, seed_of(spec.mask_seed, r, _STREAM_MASK), spec.mask_kind,
                                   spec.reservoir_params(seed_of(spec.seed, r, _STREAM_NOISE)),
-                                  series[i][0][r].tobytes()), []).append(i)
+                                  series[i][r].inputs[:n].tobytes()), []).append(i)
     drives = [(*row[:4], points) for row, points in users.items()]
     del users
-    rep_bytes = lead.total_len * (lead.num_nodes + 1) * 8
-    block = max(1, min(len(drives), _DRIVE_BLOCK_BYTES // rep_bytes))
-    split = lead.washout + lead.train_len
+    block = max(1, min(len(drives), _DRIVE_BLOCK_BYTES // (n * (lead.num_nodes + 1) * 8)))
 
     for first in range(0, len(drives), block):
         rows = drives[first:first + block]
-        inputs = np.stack([series[points[0]][0][r] for r, *_, points in rows])
+        inputs = np.stack([series[points[0]][r].inputs[:n] for r, *_, points in rows])
         masks = np.stack([generate_mask(lead.num_nodes, seed, kind).weights
                           for _, seed, kind, *_ in rows])
         params = [p for *_, p, _ in rows]
@@ -558,7 +558,7 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
         states = drive_block(inputs[:, :split], masks, params, lead.washout, state, generators)
         fits = []
         for (r, *_, points), rep_states in zip(rows, states):
-            targets = {i: series[i][1][r] for i in points if isinstance(outcomes[i], list)}
+            targets = {i: series[i][r].targets for i in points if isinstance(outcomes[i], list)}
             fits.append(_fit_drive(specs, rep_states, targets) if targets else {})
         # free the training states before the test region is driven
         del states, rep_states
@@ -570,7 +570,7 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
                     if isinstance(fit := row_fits[i], PulseRcError):
                         raise fit
                     yhat = predict(rep_states, fit)
-                    report = evaluate(series[i][1][r][split:], yhat)
+                    report = evaluate(series[i][r].targets[split:n], yhat)
                     # a record keeps replication 0's predictions and weights
                     outcomes[i].append((report.pearson, report.nrmse, fit.ridge_lambda,
                                         *((yhat, fit.weights) if r == 0 else (None, None))))
@@ -581,7 +581,7 @@ def _drive_group(specs: list[ExperimentSpec], group: list[int], series: list) ->
     return outcomes
 
 
-def _record(spec: ExperimentSpec, fits: list, targets, duration: float) -> ResultRecord:
+def _record(spec: ExperimentSpec, fits: list, datasets: list, duration: float) -> ResultRecord:
     """Aggregate one point's per-replication fits into its record."""
     pearsons, nrmses, lambdas, predictions, weights = map(list, zip(*fits))
     return ResultRecord(
@@ -595,18 +595,17 @@ def _record(spec: ExperimentSpec, fits: list, targets, duration: float) -> Resul
         nrmse_std=_spread(nrmses),
         duration_s=duration,
         # a copy: a view would keep the call's target series alive
-        trace_targets=targets[0][spec.washout + spec.train_len:].copy(),
+        trace_targets=datasets[0].targets[spec.washout + spec.train_len:spec.total_len].copy(),
         trace_predictions=predictions[0],
         readout_first=weights[0],
     )
 
 
 def _task_key(spec: ExperimentSpec) -> tuple:
-    """What a task's series are built from, but the replication count:
-    replication r's series does not depend on it."""
-    if spec.task == "csv":
-        return (spec.task, spec.csv_input, spec.csv_target)
-    return (spec.task, spec.order, spec.compat_narma_sum, spec.total_len, spec.seed)
+    """What a generated task's series are drawn from, but the replication
+    count: replication r's series does not depend on it."""
+    narma = (spec.order, spec.compat_narma_sum) if spec.task == "narma" else ()
+    return (spec.task, spec.total_len, spec.seed, *narma)
 
 
 def _fit_drive(specs: list[ExperimentSpec], states, targets: dict) -> dict:

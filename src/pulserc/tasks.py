@@ -41,7 +41,7 @@ _SATURATION = 0.8            # tanh saturation strength
 _MEASUREMENT_SIGMA = 0.02    # additive noise on the target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskDataset:
     """Paired input/target series of equal length.
 

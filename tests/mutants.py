@@ -61,8 +61,8 @@ MUTANTS = [
     ("harness.py", "tuple(dict.fromkeys(lead.lambda_grid))",
      "tuple(dict.fromkeys(lead.lambda_grid[::-1]))",
      "killed", "ties go to the later strength"),
-    ("harness.py", "trace_targets=targets[0][spec.washout + spec.train_len:].copy(),",
-     "trace_targets=targets[0][spec.washout + spec.train_len:],",
+    ("harness.py", "datasets[0].targets[spec.washout + spec.train_len:spec.total_len].copy(),",
+     "datasets[0].targets[spec.washout + spec.train_len:spec.total_len],",
      "killed", "trace_targets kept as a view of the series"),
     ("harness.py", "if lam in lambdas[i] and i not in outcomes:", "if lam in lambdas[i]:",
      "killed", "failed points solved again"),
@@ -186,9 +186,22 @@ MUTANTS = [
     ("harness.py", '_field_value(name, str(v), f"field {name!r}")',
      '_field_value(name, str(v), f"{name!r}")',
      "killed", "an axis text error without its 'field' prefix"),
-    ("harness.py", "series, repeats = drawn[_task_key(spec)][:spec.replications], 1",
-     "series, repeats = drawn[_task_key(spec)], 1",
+    ("harness.py", "series = drawn[_task_key(spec)][:spec.replications]",
+     "series = drawn[_task_key(spec)]",
      "killed", "a point reading another point's replication count"),
+    # each point handed its task's datasets: every series drawn, read and
+    # standardized once per call, cut to the group's length where it is read
+    ("harness.py", "scaled = functools.cache(standardize)", "scaled = standardize",
+     "killed", "each point standardizing its own datasets"),
+    ("harness.py", 'if spec.task == "narma" else ()', 'if spec.task == "narma" else (spec.order,)',
+     "killed", "a surrogate keyed by its order"),
+    ("harness.py", "evaluate(series[i][r].targets[split:n], yhat)",
+     "evaluate(series[i][r].targets[split:], yhat)",
+     "killed", "test targets not cut to the group's length"),
+    ("readout.py", "        if w.ndim != 1:\n", "        if False:\n",
+     "killed", "2-d readout weights accepted"),
+    ("tasks.py", "    if seed < 0:\n", "    if False:\n",
+     "killed", "a negative surrogate seed left to NumPy"),
 ]
 
 

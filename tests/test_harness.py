@@ -707,40 +707,68 @@ class TestTaskMemo:
 
     def test_orders_at_one_seed_share_their_inputs(self):
         # the paper's orders at one seed: each replication's input is drawn
-        # once for every order, so the series hold five target sets and one
-        # input set, and no copy of either
+        # once for every order, so the datasets hold five target sets and
+        # one input set, and no copy of either
         specs = [ExperimentSpec(order=order, replications=10) for order in range(2, 7)]
         series = harness._series(specs)
-        rows = [row for pair in series for part in pair for row in part]
+        rows = [row for point in series for ds in point for row in (ds.inputs, ds.targets)]
         assert held_bytes(rows) == 6 * 10 * specs[0].total_len * 8
-        assert all(np.shares_memory(inputs[r], series[0][0][r])
-                   for inputs, _ in series for r in range(10))
+        assert all(np.shares_memory(point[r].inputs, series[0][r].inputs)
+                   for point in series for r in range(10))
         with pytest.raises(ValueError, match="read-only"):
-            series[1][0][0][0] = 0.0
+            series[1][0].inputs[0] = 0.0
 
     @pytest.mark.parametrize("standardize", [False, True])
     @pytest.mark.parametrize("replications", [1, 5])
     def test_csv_point_holds_one_row_pair(self, tmp_path, standardize, replications):
         # a CSV task does not depend on the seed: every replication reads
-        # the one (standardized) series of the file's 400 rows
+        # the one (standardized) dataset of the file's 400 rows
         spec = TestDriveGroups._csv_spec(tmp_path, standardize, replications=replications)
-        [(inputs, targets)] = harness._series([spec])
-        assert len(inputs) == len(targets) == replications
-        assert len({id(row) for row in inputs + targets}) == 2
-        assert held_bytes(inputs) == held_bytes(targets) == 400 * 8
+        [datasets] = harness._series([spec])
+        assert len(datasets) == replications
+        assert len(set(datasets)) == 1
+        assert held_bytes([datasets[0].inputs]) == held_bytes([datasets[0].targets]) == 400 * 8
 
     def test_point_series_depend_on_its_own_spec(self, tmp_path):
         # the points of one call read the call's draws and file reads, but
-        # each holds its own replications' rows, as it does when alone
+        # each holds its own replications' datasets, as it does when alone
         csv = TestDriveGroups._csv_spec(tmp_path, standardize=False)
         points = [small_spec(replications=2), small_spec(replications=4),
                   small_spec(replications=3, standardize=True),
                   replace(csv, replications=2), replace(csv, replications=5, standardize=True)]
-        for spec, pair in zip(points, harness._series(points), strict=True):
+        for spec, datasets in zip(points, harness._series(points), strict=True):
             [alone] = harness._series([spec])
-            for rows, rows_alone in zip(pair, alone, strict=True):
-                assert len(rows) == len(rows_alone) == spec.replications
-                assert all(map(np.array_equal, rows, rows_alone))
+            assert len(datasets) == len(alone) == spec.replications
+            for ds, ds_alone in zip(datasets, alone):
+                assert np.array_equal(ds.inputs, ds_alone.inputs)
+                assert np.array_equal(ds.targets, ds_alone.targets)
+
+    @pytest.mark.parametrize("task", ["narma", "csv"])
+    def test_standardize_points_share_their_standardized_datasets(self, tmp_path, task):
+        # points that differ only in reservoir fields read one split's
+        # standardized datasets, each standardized once per call
+        base = (TestDriveGroups._csv_spec(tmp_path, standardize=True) if task == "csv"
+                else small_spec(standardize=True, replications=3))
+        points = [base, replace(base, num_nodes=12), replace(base, alpha=0.5),
+                  replace(base, train_len=base.train_len - 10)]
+        series = harness._series(points)
+        for datasets in series[1:3]:
+            assert all(a is b for a, b in zip(datasets, series[0], strict=True))
+        # another split standardizes its own
+        assert not any(a is b for a, b in zip(series[3], series[0]))
+
+    def test_surrogate_drawn_once_per_seed(self, monkeypatch):
+        # order and the sum convention do not change a surrogate draw
+        draws = self._count(monkeypatch, "gen_surrogate_laser")
+        base = small_spec(replications=3)
+        axes = [("task", ["narma", "surrogate"]), ("order", [2, 3, 4])]
+        records = run_sweep(base, axes)
+        assert len(draws) == 3
+        assert sorted(seed for _, seed in draws) == sorted(
+            harness.derive_seed(base.seed, r, harness._STREAM_TASK) for r in range(3))
+        monkeypatch.undo()
+        for rec, spec in zip(records, _sweep_points(base, axes), strict=True):
+            assert same_records(rec, run_experiment(spec))
 
     def test_trace_targets_do_not_alias_the_memo(self):
         spec = small_spec()
@@ -1300,6 +1328,20 @@ class TestFigureData:
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(SpecError, match="unknown figure"):
             emit_figure_data([], "histogram", tmp_path / "fig.tsv")
+
+    @pytest.mark.parametrize("read_back, message", [
+        (False, "no records to trace"),
+        (True, "record carries no stored test trace"),
+    ], ids=["no-records", "read-back"])
+    def test_trace_error_writes_no_file(self, tmp_path, read_back, message):
+        records = []
+        if read_back:  # a results file holds no test traces
+            run_sweep(small_spec(replications=1), [], out_path=tmp_path / "r.tsv")
+            records = read_records(tmp_path / "r.tsv")
+        out = tmp_path / "trace.tsv"
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            emit_figure_data(records, "prediction_trace", out)
+        assert not out.exists()
 
 
 class TestCli:

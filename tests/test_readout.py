@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -406,3 +407,17 @@ class TestEvaluate:
         assert rep.pearson == pearson(y, yhat)
         assert rep.nrmse == nrmse(y, yhat)
         assert -1.0 <= rep.pearson <= 1.0 and rep.nrmse >= 0.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ReadoutWeights(np.zeros((2, 3)), 0.0), ParameterError,
+     "weights must be a 1-d vector"),
+    (lambda: ReadoutWeights(np.array([1.0, math.nan]), 0.0), ParameterError,
+     "weights must be finite"),
+    (lambda: normal_equations(np.zeros(5), np.zeros(5)), DimensionError,
+     "states must be 2-d, got shape (5,)"),
+    (lambda: evaluate([1.0], [1.0]), DimensionError, "need at least 2 samples"),
+], ids=["weights-2d", "weights-nan", "states-1d", "one-sample"])
+def test_error_branch_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -567,6 +568,32 @@ def equation_lines(text: str) -> list[str]:
     """The update equations' lines of a text, stripped of indentation."""
     return [line.strip() for line in text.splitlines()
             if line.strip().startswith(("phi[k, j] =", "M[k, j] ="))]
+
+
+
+def _params(**kwargs):
+    return ReservoirParams(**{"num_nodes": 4, "alpha": 0.7, "beta": 1.0, **kwargs})
+
+
+# generate_mask's error after 100 constant draws in a row is not reached:
+# no seed is known that draws them
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _params(seed=-1), ParameterError, "seed must be non-negative, got -1"),
+    (lambda: Mask(np.array([])), ParameterError, "mask must be a non-empty 1-d vector"),
+    (lambda: Mask(np.array([0.5, math.inf])), ParameterError, "mask entries must be finite"),
+    (lambda: step(zero_state(_params(num_nodes=3)), 0.1, generate_mask(4, 1), _params()), DimensionError,
+     "state length 3 != num_nodes 4"),
+    (lambda: run(np.zeros((2, 60)), generate_mask(4, 1), _params()), DimensionError,
+     "inputs must be a 1-d sequence, got shape (2, 60)"),
+    (lambda: run(np.zeros(60), generate_mask(4, 1), _params(), washout=-1), ParameterError,
+     "washout must be >= 0, got -1"),
+    (lambda: run(np.full(60, math.nan), generate_mask(4, 1), _params()), ParameterError,
+     "inputs must be finite"),
+], ids=["params-seed", "mask-empty", "mask-inf", "step-state", "run-2d", "run-washout",
+        "run-nan"])
+def test_error_branch_raises_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_readme_equations_match_module_docstring():

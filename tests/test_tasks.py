@@ -476,6 +476,14 @@ class TestSurrogate:
         assert np.array_equal(gen_surrogate_laser(length, seed).inputs, want)
 
 
+    @pytest.mark.parametrize("length, seed, message", [
+        (200, -1, "seed must be non-negative, got -1"),
+    ])
+    def test_error_branch_raises_its_message(self, length, seed, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            gen_surrogate_laser(length, seed)
+
+
 class TestStandardize:
     def _dataset(self, inputs):
         inputs = np.asarray(inputs, float)
@@ -546,3 +554,11 @@ class TestTaskDataset:
         bad[3] = np.inf
         with pytest.raises(ParameterError):
             TaskDataset(bad, np.arange(10.0), name="bad")
+
+    def test_compares_and_hashes_by_identity(self):
+        # a dataset is one drawn or read series, so equal values are not
+        # the same dataset; NumPy arrays give no truth value to compare by
+        ds = TaskDataset(np.arange(10.0), np.arange(10.0), name="a")
+        twin = TaskDataset(np.arange(10.0), np.arange(10.0), name="a")
+        assert ds == ds and ds != twin
+        assert hash(ds) == hash(ds) and len({ds, twin, ds}) == 2
